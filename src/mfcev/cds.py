@@ -4,19 +4,45 @@ The protection leg pays (1-R) at the default time if it occurs before
 maturity; the premium leg pays the running spread at each payment date the
 reference is still alive (no accrual for a default between payment dates).
 The equilibrium spread equates the two legs at inception.
+
+Every spread goes through one batched kernel, ``_price``.  For a batch of
+(params, contract) cells it evaluates Q and g on Gauss-Legendre panels
+equal in ln t from the onset of default risk to T, in one array pass that
+also covers Q(T) and the premium dates.  The quadrature error of each cell
+is estimated by doubling the panels, and only the cells that miss the
+tolerance are refined.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .core import (ModelParams, adaptive_quad, default_probability,
-                   fpt_density, validate)
-from .errors import NumericalError, ParameterError
+import numpy as np
+
+from .core import FirstPassageLaw, ModelParams, validate
+from .errors import NumericalError, ParameterError, QuadratureError
 
 #: relative agreement required between the two protection-leg evaluations
 _LEG_AGREEMENT_RTOL = 1e-8
+
+#: quadrature tolerance: a leg integral I is accepted when its error
+#: estimate is at most max(EPSREL |I|, EPSABS)
+EPSREL = 1e-10
+EPSABS = 1e-16
+
+#: Gauss-Legendre nodes per panel
+GL_ORDER = 16
+#: panels of the coarsest mesh; every refinement doubles them
+BASE_PANELS = 4
+#: refinement stops here; a cell still above tolerance raises QuadratureError
+MAX_PANELS = 1024
+#: the leg integrals start where x0 / phi(t) >= ONSET_U, below which Q and
+#: g are under e^(-ONSET_U) and contribute nothing a double can hold
+ONSET_U = 700.0
+#: cells per array pass, which bounds the memory a long grid takes
+BATCH_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -69,42 +95,182 @@ class CurvePoint:
     q: float
 
 
-def _protection_leg_unit(contract: CdsContract, params: ModelParams) -> float:
-    """Protection value per unit notional, cross-checked two ways.
+@functools.lru_cache(maxsize=None)
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
+    return 0.5 * (x + 1.0), 0.5 * w
 
-    The density form integrates e^(-rt) g(t) directly; the
 
-        (1-R) [e^(-rT) Q(T) + r * integral_0^T e^(-rt) Q(t) dt]
+def _onset(law: FirstPassageLaw, horizon: np.ndarray) -> np.ndarray:
+    """Per row, a time up to which Q and g stay below about e^(-ONSET_U), capped at T.
 
-    form follows by integration by parts (Q(0) = 0) and is the value
-    returned.  Disagreement beyond 1e-8 relative raises NumericalError.
+    As e^(-lambda u) <= 1, phi(t) <= k t / 2 + k beta^2 t^(2H) / 2, and at
+    the returned time each of the two terms is at most 1 / (2 ONSET_U); so
+    up to there x0 / phi >= ONSET_U.
     """
-    if contract.recovery == 1.0:
-        return 0.0
-    lgd = 1.0 - contract.recovery
-    horizon = contract.maturity
-    r = params.r
+    bound = 1.0 / (law.k * ONSET_U)
+    beta_sq = law.beta_sq_h / (0.5 * law.two_h)
+    with np.errstate(divide="ignore"):
+        fractional = (bound / beta_sq) ** (1.0 / law.two_h)
+    return np.minimum(horizon, np.minimum(bound, fractional))
 
-    density_integral = adaptive_quad(
-        lambda t: math.exp(-r * t) * fpt_density(t, params), 0.0, horizon)
-    survival_integral = adaptive_quad(
-        lambda t: math.exp(-r * t) * default_probability(t, params), 0.0, horizon)
-    v_density = lgd * density_integral
-    v_parts = lgd * (math.exp(-r * horizon) * default_probability(horizon, params)
-                     + r * survival_integral)
 
-    scale = max(abs(v_density), abs(v_parts))
-    if abs(v_density - v_parts) > _LEG_AGREEMENT_RTOL * scale + 1e-15:
+def _mesh(onset: np.ndarray, horizon: np.ndarray,
+          panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of each row's mesh, (rows, panels * GL_ORDER).
+
+    The panels split [onset, T] into equal steps of ln t.  Every feature of
+    the integrands (the switch-on of Q at the onset, phi's e^(-(2-alpha) r t)
+    layer, the e^(-rt) discount) is a transition about one unit of ln t
+    wide, wherever it sits.  Doubling ``panels`` keeps every edge, so the
+    meshes nest.
+    """
+    log_lo = np.log(onset)
+    edges = np.exp(log_lo + (np.log(horizon) - log_lo) * np.linspace(0.0, 1.0, panels + 1))
+    width = np.diff(edges, axis=1)[:, :, None]
+    x, w = _panel_rule()
+    rows = len(edges)
+    return ((edges[:, :-1, None] + width * x).reshape(rows, -1),
+            (width * w).reshape(rows, -1))
+
+
+def _leg_integrals(law: FirstPassageLaw, t: np.ndarray, w: np.ndarray,
+                   q: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the quadratures of e^(-rt) g(t) and e^(-rt) Q(t) over [0, T]."""
+    wd = w * np.exp(-law.r * t)
+    return (wd * g).sum(axis=1), (wd * q).sum(axis=1)
+
+
+def _schedule(contracts: list[CdsContract]) -> tuple[np.ndarray, np.ndarray]:
+    """Premium dates and accrual fractions, one row per contract.
+
+    Rows are padded to the longest schedule with the maturity and a zero
+    accrual, so padding adds nothing to the annuity.
+    """
+    times = [c.payment_times() for c in contracts]
+    width = max(len(ts) for ts in times)
+    dates = np.array([ts + [c.maturity] * (width - len(ts)) for c, ts in zip(contracts, times)])
+    accrual = np.array([[1.0 / c.payments_per_year] * len(ts) + [0.0] * (width - len(ts))
+                        for c, ts in zip(contracts, times)])
+    return dates, accrual
+
+
+def _annuity(law: FirstPassageLaw, dates: np.ndarray, accrual: np.ndarray,
+             q: np.ndarray) -> np.ndarray:
+    """sum_i accrual_i e^(-r t_i) (1 - Q(t_i)) per row."""
+    return (accrual * np.exp(-law.r * dates) * (1.0 - q)).sum(axis=1)
+
+
+def _within_tolerance(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    return np.abs(fine - coarse) <= np.maximum(EPSREL * np.abs(fine), EPSABS)
+
+
+def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
+    law = FirstPassageLaw.of(params)
+    horizon = np.array([[c.maturity] for c in contracts])
+    lgd = np.array([1.0 - c.recovery for c in contracts])
+    onset = _onset(law, horizon)
+    dates, accrual = _schedule(contracts)
+
+    # one pass: both starting meshes, Q(T) and the premium dates
+    coarse_t, coarse_w = _mesh(onset, horizon, BASE_PANELS)
+    fine_t, fine_w = _mesh(onset, horizon, 2 * BASE_PANELS)
+    q, g = law.q_and_g(np.hstack([coarse_t, fine_t, horizon, dates]))
+    n0 = coarse_t.shape[1]
+    n1 = n0 + fine_t.shape[1]
+    coarse = _leg_integrals(law, coarse_t, coarse_w, q[:, :n0], g[:, :n0])
+    density, survival = _leg_integrals(law, fine_t, fine_w, q[:, n0:n1], g[:, n0:n1])
+    q_horizon = q[:, n1]
+    annuity = _annuity(law, dates, accrual, q[:, n1 + 1:])
+
+    err_density = np.abs(density - coarse[0])
+    err_survival = np.abs(survival - coarse[1])
+    finite = np.isfinite(density) & np.isfinite(survival)
+    # a full-recovery leg is worth 0 whatever the integrals are
+    done = (lgd == 0.0) | ~finite | (_within_tolerance(density, coarse[0])
+                                     & _within_tolerance(survival, coarse[1]))
+    panels = 2 * BASE_PANELS
+    while not done.all() and panels < MAX_PANELS:
+        panels *= 2
+        rows = np.flatnonzero(~done)
+        sub = law.take(rows)
+        t, w = _mesh(onset[rows], horizon[rows], panels)
+        new_density, new_survival = _leg_integrals(sub, t, w, *sub.q_and_g(t))
+        err_density[rows] = np.abs(new_density - density[rows])
+        err_survival[rows] = np.abs(new_survival - survival[rows])
+        done[rows] = (_within_tolerance(new_density, density[rows])
+                      & _within_tolerance(new_survival, survival[rows])
+                      | ~(np.isfinite(new_density) & np.isfinite(new_survival)))
+        density[rows], survival[rows] = new_density, new_survival
+
+    r = law.r[:, 0]
+    v_density = lgd * density
+    v_parts = lgd * (np.exp(-r * horizon[:, 0]) * q_horizon + r * survival)
+    errors: list[NumericalError | None] = []
+    for i in range(len(params)):
+        if lgd[i] == 0.0:
+            errors.append(None)
+        elif not (math.isfinite(v_density[i]) and math.isfinite(v_parts[i])):
+            errors.append(NumericalError(
+                f"protection leg is not finite: density form {v_density[i]!r}, "
+                f"integration-by-parts form {v_parts[i]!r}"))
+        elif not done[i]:
+            worst = max(err_density[i], err_survival[i])
+            errors.append(QuadratureError(
+                f"quadrature failed: leg integrals did not converge on {panels} panels "
+                f"(achieved abs. error {worst:.3e})", float(density[i]), float(worst)))
+        elif abs(v_density[i] - v_parts[i]) > (
+                _LEG_AGREEMENT_RTOL * max(abs(v_density[i]), abs(v_parts[i])) + 1e-15):
+            errors.append(NumericalError(
+                f"protection-leg evaluations disagree: density form {float(v_density[i])!r}, "
+                f"integration-by-parts form {float(v_parts[i])!r}"))
+        else:
+            errors.append(None)
+    leg = np.where(lgd == 0.0, 0.0, v_parts)
+    return leg, annuity, errors
+
+
+def _price(params: list[ModelParams], contracts: list[CdsContract]):
+    """Protection leg per unit notional and premium annuity of every cell.
+
+    The leg is the integration-by-parts form
+
+        (1-R) [e^(-rT) Q(T) + r * integral_0^T e^(-rt) Q(t) dt],
+
+    cross-checked against the density form (1-R) integral_0^T e^(-rt) g(t) dt.
+    Returns (leg, annuity, errors); errors[i] is the NumericalError of cell
+    i's leg (QuadratureError when refinement stops at MAX_PANELS, plain
+    NumericalError when the two forms disagree beyond 1e-8 relative), else
+    None.
+    """
+    legs, annuities, errors = [], [], []
+    for start in range(0, len(params), BATCH_CELLS):
+        stop = start + BATCH_CELLS
+        leg, annuity, err = _price_batch(params[start:stop], contracts[start:stop])
+        legs.append(leg)
+        annuities.append(annuity)
+        errors += err
+    return np.concatenate(legs), np.concatenate(annuities), errors
+
+
+def _spread_bps(leg: float, annuity: float, error: NumericalError | None) -> float:
+    if annuity <= 0.0:
         raise NumericalError(
-            f"protection-leg evaluations disagree: density form {v_density!r}, "
-            f"integration-by-parts form {v_parts!r}")
-    return v_parts
+            "premium annuity underflowed to zero (certain default before the "
+            "first payment date); the running spread is undefined")
+    if error is not None:
+        raise error
+    return float(1e4 * leg / annuity)
 
 
 def protection_leg(contract: CdsContract, params: ModelParams) -> float:
     """Present value of the protection payment, scaled by the notional."""
     validate(params)
-    return contract.notional * _protection_leg_unit(contract, params)
+    leg, _, errors = _price([params], [contract])
+    if errors[0] is not None:
+        raise errors[0]
+    return contract.notional * float(leg[0])
 
 
 def premium_annuity(contract: CdsContract, params: ModelParams) -> float:
@@ -114,10 +280,9 @@ def premium_annuity(contract: CdsContract, params: ModelParams) -> float:
     sum_i (1/freq) e^(-r t_i) (1 - Q(t_i)).
     """
     validate(params)
-    accrual = 1.0 / contract.payments_per_year
-    return sum(accrual * math.exp(-params.r * t_i)
-               * (1.0 - default_probability(t_i, params))
-               for t_i in contract.payment_times())
+    law = FirstPassageLaw.of([params])
+    dates, accrual = _schedule([contract])
+    return float(_annuity(law, dates, accrual, law.q(dates))[0])
 
 
 def cds_spread(contract: CdsContract, params: ModelParams) -> float:
@@ -126,12 +291,8 @@ def cds_spread(contract: CdsContract, params: ModelParams) -> float:
     10^4 * protection leg / premium annuity, both per unit notional.
     """
     validate(params)
-    annuity = premium_annuity(contract, params)
-    if annuity <= 0.0:
-        raise NumericalError(
-            "premium annuity underflowed to zero (certain default before the "
-            "first payment date); the running spread is undefined")
-    return 1e4 * _protection_leg_unit(contract, params) / annuity
+    leg, annuity, errors = _price([params], [contract])
+    return _spread_bps(leg[0], annuity[0], errors[0])
 
 
 def spread_table(params_base: ModelParams,
@@ -144,27 +305,42 @@ def spread_table(params_base: ModelParams,
     """Cartesian spread grid in fixed (beta, hurst, maturity, alpha) order.
 
     betas_hursts holds (beta, hurst) pairs; hurst may be None only when
-    beta == 0 (the classical rows, where it has no effect).  Failures are
-    captured per cell (spread NaN, error message set) without aborting.
+    beta == 0 (the classical rows, where it has no effect).  The grid is
+    priced in one batch; failures are captured per cell (spread NaN, error
+    message set) without aborting.
     """
-    cells: list[SpreadCell] = []
+    keys = []
+    failures: dict[int, str] = {}
+    params: list[ModelParams] = []
+    contracts: list[CdsContract] = []
     for beta, hurst in betas_hursts:
         if hurst is None and beta != 0.0:
             raise ParameterError("hurst", "hurst may be omitted only when beta = 0")
         for maturity in maturities:
             for alpha in alphas:
+                keys.append((alpha, beta, hurst, maturity))
                 try:
-                    params = ModelParams(r=params_base.r, sigma0=params_base.sigma0,
-                                         alpha=alpha, beta=beta,
-                                         hurst=hurst if hurst is not None else 0.8,
-                                         s0=params_base.s0)
+                    cell_params = ModelParams(r=params_base.r, sigma0=params_base.sigma0,
+                                              alpha=alpha, beta=beta,
+                                              hurst=hurst if hurst is not None else 0.8,
+                                              s0=params_base.s0)
                     contract = CdsContract(maturity=maturity, recovery=recovery,
                                            payments_per_year=payments_per_year)
-                    spread = cds_spread(contract, params)
-                    cells.append(SpreadCell(alpha, beta, hurst, maturity, spread))
-                except (ParameterError, NumericalError, ValueError) as exc:
-                    cells.append(SpreadCell(alpha, beta, hurst, maturity,
-                                            float("nan"), error=str(exc)))
+                except ValueError as exc:
+                    failures[len(keys) - 1] = str(exc)
+                    continue
+                params.append(cell_params)
+                contracts.append(contract)
+    priced = iter(zip(*_price(params, contracts)) if params else ())
+    cells: list[SpreadCell] = []
+    for i, key in enumerate(keys):
+        if i in failures:
+            cells.append(SpreadCell(*key, float("nan"), error=failures[i]))
+            continue
+        try:
+            cells.append(SpreadCell(*key, _spread_bps(*next(priced))))
+        except NumericalError as exc:
+            cells.append(SpreadCell(*key, float("nan"), error=str(exc)))
     return cells
 
 
@@ -176,8 +352,6 @@ def default_curve(params: ModelParams, t_max: float, n_points: int) -> list[Curv
     if n_points < 2:
         raise ParameterError("n_points", f"n_points must be >= 2, got {n_points}")
     step = t_max / (n_points - 1)
-    points = []
-    for i in range(n_points):
-        t = t_max if i == n_points - 1 else i * step
-        points.append(CurvePoint(t, default_probability(t, params)))
-    return points
+    times = [t_max if i == n_points - 1 else i * step for i in range(n_points)]
+    qs = FirstPassageLaw.of([params]).q(np.array(times))[0]
+    return [CurvePoint(t, q) for t, q in zip(times, qs.tolist())]

@@ -11,7 +11,8 @@ All configuration comes from flags, optionally seeded from a flat
 header row, comma separators, ``.`` decimals and LF line endings.
 
 Exit codes: 0 success, 1 Monte-Carlo validation failure, 2 usage or
-parameter error, 3 numerical failure.
+parameter error, 3 numerical failure (any ArithmeticError: a NumericalError,
+or a float operation that overflowed).
 """
 
 from __future__ import annotations
@@ -318,7 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: invalid parameter '{exc.constraint}': {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except ArithmeticError as exc:
+        # NumericalError, and the OverflowError / ZeroDivisionError /
+        # FloatingPointError of a float operation that left the double range
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -1,9 +1,11 @@
 """Self-contained special-function kernel.
 
-Provides exactly what the pricing analytics need: log-gamma, the
-regularized incomplete gamma pair P(s,x)/Q(s,x), Kummer's confluent
-hypergeometric 1F1 and the Whittaker M function.  Everything is scalar,
-double precision, real arguments only.
+Log-gamma, the regularized incomplete gamma pair P(s,x)/Q(s,x), Kummer's
+confluent hypergeometric 1F1 and the Whittaker M function.  Everything is
+scalar, double precision, real arguments only.  Pricing does not use this
+module (it takes the array ufuncs of ``scipy.special``); it is kept as an
+independent implementation, with which the Whittaker-M reduction of the
+fractional term of phi is checked.
 
 Algorithms are the classic stable split: lower incomplete gamma by power
 series for x < s+1, upper by modified-Lentz continued fraction otherwise;

@@ -9,8 +9,9 @@ produced by these routines are what the package is checked against.
 from __future__ import annotations
 
 import math
+import warnings
 
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaincc
 
 
@@ -96,6 +97,69 @@ def cev_spread_bps(maturity: float, r: float, sigma0: float, alpha: float,
     """
     q = lambda t: cev_default_probability(t, r, sigma0, alpha, s0)
     integral, _ = quad(lambda t: math.exp(-r * t) * q(t), 0.0, maturity, limit=200)
+    protection = (1.0 - recovery) * (math.exp(-r * maturity) * q(maturity) + r * integral)
+    n = math.ceil(maturity * freq - 1e-12)
+    annuity = sum(math.exp(-r * i / freq) * (1.0 - q(i / freq)) for i in range(1, n + 1)) / freq
+    return 1e4 * protection / annuity
+
+
+
+def phi_reference(t: float, r: float, sigma0: float, alpha: float, beta: float,
+                  hurst: float) -> float:
+    """phi(t) in units with s0 = 1, by scipy quadrature of its defining integrand
+
+        sigma0^2 (2-a)^2 (1/2 + beta^2 H u^(2H-1)) e^(-lambda u),  lambda = (2-a) r.
+
+    The range is split at 1, 4, 16 and 64 times 1/lambda: a single quad call
+    misses an e^(-lambda u) boundary layer much thinner than t (it returns 0
+    at a = -1000, r = 5, t = 100).
+    """
+    two_a = 2.0 - alpha
+    lam = two_a * r
+    scale = sigma0 ** 2 * two_a ** 2
+
+    def integrand(u):
+        return scale * (0.5 + beta ** 2 * hurst * u ** (2.0 * hurst - 1.0)) * math.exp(-lam * u)
+
+    edges = [0.0] + [m / lam for m in (1.0, 4.0, 16.0, 64.0) if lam > 0.0 and m / lam < t] + [t]
+    with warnings.catch_warnings():
+        # near 1e-12 quad may report roundoff; its best estimate is still returned
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                   for lo, hi in zip(edges, edges[1:]))
+
+
+def default_probability_reference(t: float, r: float, sigma0: float, alpha: float,
+                                  beta: float, hurst: float) -> float:
+    """Q(t) = gammaincc(1/(2-a), 1/phi(t)) with phi_reference, in units with s0 = 1."""
+    return float(gammaincc(1.0 / (2.0 - alpha), 1.0 / phi_reference(t, r, sigma0, alpha,
+                                                                     beta, hurst)))
+
+
+
+def spread_reference_bps(maturity: float, r: float, sigma0: float, alpha: float,
+                         beta: float, hurst: float, recovery: float, freq: int = 2) -> float:
+    """Equilibrium spread from default_probability_reference and scipy quadrature.
+
+    Protection (1-R)[e^(-rT) Q(T) + r int_0^T e^(-rt) Q dt] against the
+    accrual-weighted risky annuity, in basis points.  The integral is taken
+    over ln t in 40 pieces reaching down to T e^(-60), so that quad sees
+    the switch-on of Q however early it comes.
+    """
+    def q(t):
+        return default_probability_reference(t, r, sigma0, alpha, beta, hurst)
+
+    def integrand(y):
+        t = math.exp(y)
+        return t * math.exp(-r * t) * q(t)
+
+    integral = 0.0
+    if r > 0.0:
+        edges = [math.log(maturity) - 60.0 + 1.5 * i for i in range(41)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            integral = math.fsum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                                 for lo, hi in zip(edges, edges[1:]))
     protection = (1.0 - recovery) * (math.exp(-r * maturity) * q(maturity) + r * integral)
     n = math.ceil(maturity * freq - 1e-12)
     annuity = sum(math.exp(-r * i / freq) * (1.0 - q(i / freq)) for i in range(1, n + 1)) / freq

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from mfcev import cds
 from mfcev.cds import (CdsContract, cds_spread, default_curve,
                        premium_annuity, protection_leg, spread_table)
-from mfcev.errors import ParameterError
+from mfcev.core import FirstPassageLaw, ModelParams
+from mfcev.errors import NumericalError, ParameterError, QuadratureError
 
-from reference import TABLE1_BPS, cev_spread_bps, table1_tolerance
+from reference import TABLE1_BPS, cev_spread_bps, spread_reference_bps, table1_tolerance
 
 
 class TestCdsContract:
@@ -130,6 +132,21 @@ class TestCdsSpread:
         ref = cev_spread_bps(maturity, 0.05, 0.2, alpha, 50.0, 0.5)
         assert ours == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha,beta,hurst,r,sigma0,maturity", [
+        (-2.0, 1.0, 0.9, 0.05, 0.2, 10.0),
+        (1.5, 0.5, 0.99, 0.05, 0.2, 5.0),
+        (0.5, 3.0, 0.76, 0.3, 0.5, 7.3),
+        (-1000.0, 0.5, 0.8, 5.0, 0.2, 5.0),
+        (-500.0, 2.0, 0.95, 0.0, 0.7, 100.0),
+        (-2.0, 1.0, 0.9, 2.0, 0.2, 100.0),
+    ])
+    def test_matches_reference_pricer(self, alpha, beta, hurst, r, sigma0, maturity):
+        ours = cds_spread(CdsContract(maturity=maturity, recovery=0.4),
+                          ModelParams(r=r, sigma0=sigma0, alpha=alpha, beta=beta,
+                                      hurst=hurst, s0=50.0))
+        ref = spread_reference_bps(maturity, r, sigma0, alpha, beta, hurst, 0.4)
+        assert ours == pytest.approx(ref, rel=1e-9)
+
 
 class TestSpreadTable:
     BETAS_HURSTS = [(0.0, None), (0.5, 0.8), (0.5, 0.9), (1.0, 0.8), (1.0, 0.9)]
@@ -197,3 +214,45 @@ class TestDefaultCurve:
             default_curve(fig_params(), 0.0, 10)
         with pytest.raises(ParameterError):
             default_curve(fig_params(), 5.0, 1)
+
+
+class TestFailureContract:
+    # needs 16 panels per leg integral: the cap of 8 leaves it unconverged
+    HARD = dict(alpha=-2.0, beta=1.0, hurst=0.9)
+    HARD_MATURITY = 100.0
+
+    def test_prices_with_default_cap(self, fig_params):
+        spread = cds_spread(CdsContract(maturity=self.HARD_MATURITY, recovery=0.5),
+                            fig_params(**self.HARD))
+        assert 0.0 < spread < 1e4
+
+    def test_unconverged_cell_raises_quadrature_error(self, fig_params, monkeypatch):
+        monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)
+        with pytest.raises(QuadratureError) as err:
+            cds_spread(CdsContract(maturity=self.HARD_MATURITY, recovery=0.5),
+                       fig_params(**self.HARD))
+        assert err.value.error_bound > 0.0
+        assert math.isfinite(err.value.estimate)
+
+    def test_leg_disagreement_raises(self, fig_params, monkeypatch):
+        exact = FirstPassageLaw.q_and_g
+
+        def biased(self, t):
+            q, g = exact(self, t)
+            return q, g * (1.0 + 1e-6)
+
+        monkeypatch.setattr(FirstPassageLaw, "q_and_g", biased)
+        with pytest.raises(NumericalError, match="disagree") as err:
+            cds_spread(CdsContract(maturity=5.0, recovery=0.5), fig_params())
+        assert not isinstance(err.value, QuadratureError)
+
+    def test_table_captures_numerical_failure(self, fig_params, monkeypatch):
+        monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)
+        cells = spread_table(fig_params(), [-2.0], [(1.0, 0.9)], [5.0, self.HARD_MATURITY])
+        assert [c.maturity for c in cells] == [5.0, self.HARD_MATURITY]
+        assert cells[0].error is None
+        assert cells[0].spread_bps == cds_spread(CdsContract(maturity=5.0, recovery=0.5),
+                                                 fig_params(**self.HARD))
+        assert math.isnan(cells[1].spread_bps)
+        assert "quadrature" in cells[1].error
+

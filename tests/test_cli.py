@@ -8,6 +8,8 @@ from mfcev.cds import CdsContract, cds_spread
 from mfcev.cli import main
 from mfcev.core import ModelParams
 
+DATA = Path(__file__).resolve().parent / "data"
+
 SPREAD_FLAGS = ["--alpha", "-2", "--beta", "1", "--hurst", "0.9",
                 "--sigma0", "0.2", "--rate", "0.05",
                 "--recovery", "0.5", "--maturity", "1"]
@@ -53,6 +55,15 @@ class TestSpreadCommand:
         assert code == 0
         assert out.strip() == f"{float(out):.8f}"
 
+    @pytest.mark.parametrize("alpha,rate,maturity", [("-500", "5", "5"), ("-1000", "5", "5"),
+                                                     ("-2", "2", "100")])
+    def test_extreme_parameters_price(self, capsys, alpha, rate, maturity):
+        code, out, err = run_cli(capsys, "spread", f"--alpha={alpha}", "--beta=0.5",
+                                 "--hurst=0.8", "--sigma0=0.2", f"--rate={rate}",
+                                 "--recovery=0.5", f"--maturity={maturity}")
+        assert code == 0, err
+        assert float(out) >= 0.0
+
     def test_equals_style_flags(self, capsys):
         code, out, _ = run_cli(capsys, "spread", "--alpha=-2", "--beta=1",
                                "--hurst=0.9", "--sigma0=0.2", "--rate=0.05",
@@ -76,6 +87,11 @@ class TestTable1Command:
         _, first, _ = run_cli(capsys, "table1", "--maturities", "1,2")
         _, second, _ = run_cli(capsys, "table1", "--maturities", "1,2")
         assert first == second
+
+    def test_matches_golden_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "table1")
+        assert code == 0
+        assert out.encode() == (DATA / "table1.csv").read_bytes()
 
     def test_maturity_restriction(self, capsys):
         code, out, _ = run_cli(capsys, "table1", "--maturities", "1")
@@ -137,6 +153,13 @@ class TestCurveCommand:
             _, q_classical, q_fractional = (float(tok) for tok in line.split(","))
             assert q_fractional >= q_classical
 
+    def test_matches_golden_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "--alpha", "-2", "--sigma0", "0.2",
+                               "--rate", "0.05", "--tmax", "10", "--points", "41",
+                               "--series", "0", "--series", "0.5:0.8", "--series", "1:0.9")
+        assert code == 0
+        assert out.encode() == (DATA / "curve.csv").read_bytes()
+
     def test_fractional_series_requires_hurst(self, capsys):
         code, _, err = run_cli(capsys, "curve", *self.CURVE_FLAGS, "--series", "1")
         assert code == 2 and "hurst" in err.lower()
@@ -165,6 +188,14 @@ class TestValidateCommand:
         _, first, _ = run_cli(capsys, "validate", *self.VALIDATE_FLAGS)
         _, second, _ = run_cli(capsys, "validate", *self.VALIDATE_FLAGS)
         assert first == second
+
+    def test_overflow_exits_3(self, capsys):
+        # the Monte-Carlo state starts at s0^(2-alpha) = 50^502, beyond a double
+        flags = ["--alpha=-500"] + self.VALIDATE_FLAGS[2:-6] + ["--paths", "100",
+                                                               "--steps", "10", "--seed", "1"]
+        code, out, err = run_cli(capsys, "validate", *flags)
+        assert code == 3
+        assert "numerical failure" in err and "Traceback" not in err
 
     def test_zero_paths_exits_2(self, capsys):
         flags = self.VALIDATE_FLAGS[:-6] + ["--paths", "0", "--steps", "10",

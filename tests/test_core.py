@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mfcev import specfun
 from mfcev.core import (ModelParams, default_probability,
                         effective_coefficients, fpt_density, phi_closed,
                         phi_quadrature, validate)
-from mfcev.errors import NonConvergenceError, ParameterError
+from mfcev.errors import ParameterError
 
-from reference import cev_default_probability, erfc_reference
+from reference import (cev_default_probability, default_probability_reference,
+                       erfc_reference)
 
 
 class TestModelParams:
@@ -185,7 +185,14 @@ class TestDefaultProbability:
         assert default_probability(4.0, p) == pytest.approx(
             erfc_reference(50.0 / (delta * math.sqrt(8.0))), rel=1e-10)
 
-    def test_propagates_non_convergence(self, fig_params, monkeypatch):
-        monkeypatch.setattr(specfun, "MAX_TERMS", 1)
-        with pytest.raises(NonConvergenceError):
-            default_probability(5.0, fig_params())
+    @pytest.mark.parametrize("alpha,r,t", [(-500.0, 5.0, 10.0), (-1000.0, 5.0, 10.0),
+                                           (-1000.0, 5.0, 100.0), (-2.0, 2.0, 100.0),
+                                           (-500.0, 0.0, 1.0)])
+    def test_extreme_parameters_in_unit_initial_price(self, alpha, r, t):
+        # at s0 = 50, s0^(2-alpha) is beyond a double for alpha <= -500, and
+        # (2-alpha) r t = 400 overflowed phi's large-z Kummer expansion; Q does
+        # not depend on s0, so it must match the s0 = 1 oracle everywhere
+        p = ModelParams(r=r, sigma0=0.2, alpha=alpha, beta=0.5, hurst=0.8, s0=50.0)
+        assert default_probability(t, p) == pytest.approx(
+            default_probability_reference(t, r, 0.2, alpha, 0.5, 0.8), rel=1e-10)
+        assert fpt_density(t, p) >= 0.0
