@@ -1,13 +1,27 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled Monte-Carlo kernel against the numpy fallback.
+"""Time the Monte-Carlo stack layer by layer.
 
-Both backends consume identical normal draws and must produce bit-identical
-default times; the benchmark verifies that before timing.  Run as
+Three rates, each in requested path-steps (n_paths x n_steps) per second:
 
-    python benchmarks/bench_mc.py [--paths N] [--steps N] [--repeat N]
+    draw          the Philox normals alone, drawn in the simulation's layout
+                  (one standard_normal(n_paths) per step)
+    step          the time spent inside ``_mc_fallback.step_paths`` during a
+                  simulation, timed by wrapping it where ``simulate_fpt``
+                  looks it up
+    simulate_fpt  the whole simulation, unwrapped
+
+Each figure is the median of ``--repeat`` rounds; a round times the three
+layers in turn on the same seed.  The step layer also reports the
+path-steps it actually advanced.  Run as
+
+    python benchmarks/bench_mc.py [--paths N] [--steps N] [--repeat N] [--json]
 """
 
 import argparse
+import json
+import os
+import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -16,52 +30,101 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from mfcev import _mc_fallback
 from mfcev.core import ModelParams
-from mfcev.mc import McConfig, have_compiled_kernel, simulate_fpt
+from mfcev.mc import McConfig, simulate_fpt
+
+#: the fractional benchmark cell the validate report checks (r = 5%, s0 = 50)
+PARAMS = ModelParams(r=0.05, sigma0=0.2, alpha=-2.0, beta=0.5, hurst=0.8, s0=50.0)
+HORIZON = 2.0
 
 
-def time_backend(params, cfg, backend, repeat):
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
+def time_draws(cfg: McConfig) -> float:
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    start = time.perf_counter()
+    for _ in range(cfg.n_steps):
+        rng.standard_normal(cfg.n_paths)
+    return time.perf_counter() - start
+
+
+def time_steps(cfg: McConfig) -> tuple[float, int]:
+    """Seconds inside the step kernel during one simulation, and live path-steps."""
+    original = _mc_fallback.step_paths
+    spent = 0.0
+    stepped = 0
+
+    def timed(x, *args):
+        nonlocal spent, stepped
         start = time.perf_counter()
-        result = simulate_fpt(params, cfg, backend=backend)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        try:
+            return original(x, *args)
+        finally:
+            spent += time.perf_counter() - start
+            stepped += x.size
+
+    _mc_fallback.step_paths = timed
+    try:
+        simulate_fpt(PARAMS, cfg)
+    finally:
+        _mc_fallback.step_paths = original
+    return spent, stepped
+
+
+def time_simulation(cfg: McConfig) -> float:
+    start = time.perf_counter()
+    simulate_fpt(PARAMS, cfg)
+    return time.perf_counter() - start
+
+
+def measure(cfg: McConfig, repeat: int) -> dict:
+    simulate_fpt(PARAMS, cfg)   # warm-up
+    draw, step, end_to_end = [], [], []
+    stepped = 0
+    for _ in range(repeat):
+        draw.append(time_draws(cfg))
+        spent, stepped = time_steps(cfg)
+        step.append(spent)
+        end_to_end.append(time_simulation(cfg))
+    work = cfg.n_paths * cfg.n_steps
+
+    def layer(times):
+        median = statistics.median(times)
+        return {"s": median, "path_steps_per_s": work / median,
+                "runs_s": [round(t, 6) for t in times]}
+
+    return {
+        "paths": cfg.n_paths, "steps": cfg.n_steps, "seed": cfg.seed,
+        "repeat": repeat, "requested_path_steps": work,
+        "draw": layer(draw),
+        "step": {**layer(step), "live_path_steps": stepped},
+        "simulate_fpt": layer(end_to_end),
+        "meta": {"python": platform.python_version(), "numpy": np.__version__,
+                 "nproc": os.cpu_count()},
+    }
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--paths", type=int, default=100_000)
-    parser.add_argument("--steps", type=int, default=1000)
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--steps", type=int, default=100)
+    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--seed", type=int, default=12345)
+    parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args()
 
-    params = ModelParams(r=0.05, sigma0=0.2, alpha=-2.0, beta=0.5,
-                         hurst=0.8, s0=50.0)
-    cfg = McConfig(n_paths=args.paths, n_steps=args.steps, horizon=2.0,
-                   seed=args.seed)
-    path_steps = args.paths * args.steps
-
-    print(f"paths={args.paths}  steps={args.steps}  "
-          f"({path_steps / 1e6:.0f}M path-steps, best of {args.repeat})")
-
-    t_python, r_python = time_backend(params, cfg, "python", args.repeat)
-    print(f"  python fallback : {t_python:8.3f} s   "
-          f"{path_steps / t_python / 1e6:7.1f} M path-steps/s")
-
-    if not have_compiled_kernel():
-        print("  compiled kernel : not built (run `python setup.py build_ext --inplace`)")
+    cfg = McConfig(n_paths=args.paths, n_steps=args.steps, horizon=HORIZON, seed=args.seed)
+    result = measure(cfg, args.repeat)
+    if args.json:
+        print(json.dumps(result))
         return 0
-
-    t_compiled, r_compiled = time_backend(params, cfg, "compiled", args.repeat)
-    print(f"  compiled kernel : {t_compiled:8.3f} s   "
-          f"{path_steps / t_compiled / 1e6:7.1f} M path-steps/s")
-    identical = np.array_equal(r_python, r_compiled, equal_nan=True)
-    print(f"  speedup         : {t_python / t_compiled:8.2f} x")
-    print(f"  results         : {'bit-identical' if identical else 'MISMATCH'}")
-    return 0 if identical else 1
+    print(f"paths={cfg.n_paths}  steps={cfg.n_steps}  "
+          f"({result['requested_path_steps'] / 1e6:g}M path-steps, median of {args.repeat})")
+    for name in ("draw", "step", "simulate_fpt"):
+        r = result[name]
+        print(f"  {name:<12} : {r['s']:8.3f} s   {r['path_steps_per_s'] / 1e6:7.1f} M path-steps/s")
+    print(f"  live path-steps stepped: {result['step']['live_path_steps']}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ from .core import (EffectiveCoefficients, ModelParams, default_probability,
                    phi_quadrature, validate)
 from .errors import (NonConvergenceError, NumericalError, ParameterError,
                      QuadratureError)
-from .mc import (McConfig, McResult, have_compiled_kernel,
-                 mc_cds_spread, mc_default_probability, simulate_fpt)
+from .mc import (McConfig, McResult, default_probability_estimate,
+                 mc_cds_spread, mc_default_probability, simulate_fpt,
+                 spread_estimate)
 
 __version__ = "0.1.0"
 
@@ -17,9 +18,9 @@ __all__ = [
     "CdsContract", "CurvePoint", "SpreadCell", "EffectiveCoefficients",
     "ModelParams", "McConfig", "McResult",
     "cds_spread", "default_curve", "default_probability",
-    "effective_coefficients", "fpt_density", "have_compiled_kernel",
+    "default_probability_estimate", "effective_coefficients", "fpt_density",
     "mc_cds_spread", "mc_default_probability", "phi_closed",
     "phi_quadrature", "premium_annuity", "protection_leg", "simulate_fpt",
-    "spread_table", "validate",
+    "spread_estimate", "spread_table", "validate",
     "NonConvergenceError", "NumericalError", "ParameterError", "QuadratureError",
 ]

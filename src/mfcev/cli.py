@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .cds import CdsContract, cds_spread, default_curve, spread_table
 from .core import ModelParams, default_probability
 from .errors import NumericalError, ParameterError
-from .mc import McConfig, mc_cds_spread, mc_default_probability
+from . import mc
 
 #: the benchmark grid: beta, hurst (None on the classical rows)
 TABLE1_BETA_HURST = [(0.0, None), (0.5, 0.8), (0.5, 0.9), (1.0, 0.8), (1.0, 0.9)]
@@ -257,16 +257,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     params = _model_params(merged)
     contract = CdsContract(maturity=merged["maturity"], recovery=merged["recovery"],
                            payments_per_year=merged["freq"])
-    cfg = McConfig(n_paths=merged["paths"], n_steps=merged["steps"],
-                   horizon=merged["maturity"], seed=merged["seed"])
+    cfg = mc.McConfig(n_paths=merged["paths"], n_steps=merged["steps"],
+                      horizon=merged["maturity"], seed=merged["seed"])
 
     analytic_q = default_probability(merged["maturity"], params)
-    mc_q = mc_default_probability(params, cfg)
+    # one simulation to the maturity feeds both estimators
+    default_time = mc.simulate_fpt(params, cfg)
+    mc_q = mc.default_probability_estimate(default_time)
     z = ((mc_q.estimate - analytic_q) / mc_q.std_error
          if mc_q.std_error > 0.0 else 0.0 if mc_q.estimate == analytic_q else float("inf"))
 
     analytic_spread = cds_spread(contract, params)
-    mc_spread = mc_cds_spread(params, contract, cfg)
+    mc_spread = mc.spread_estimate(default_time, params, contract)
 
     p = merged["precision"]
     print(f"analytic_q {_fmt_prob(analytic_q, p)}")

@@ -11,14 +11,22 @@ proportional to the derivative of the variance clock v(t) = t + beta^2
 t^(2H), the increments use the exact clock increment dv over each step
 rather than a left-endpoint approximation.
 
+The simulation runs in units with s0 = 1, as ``core.FirstPassageLaw``
+does: x0 = 1 and delta^2 = sigma0^2.  The state in model units is
+s0^(2-alpha) times this one, so the default times are the same, and no
+power of s0 is formed however negative alpha is.
+
 Paths are driven by a counter-based generator (Philox) seeded from the
 master seed with a fixed step-major draw layout, so results depend only on
 (seed, n_paths, n_steps) and runs with different model parameters but the
-same seed share their noise (coupled comparisons).
+same seed share their noise (coupled comparisons).  Each step draws one
+normal for every path, live or not, and ``_mc_fallback.step_paths``
+advances only the live ones.
 
-The per-step state update runs in a compiled kernel when the extension was
-built, with a numpy fallback selected at import; both produce bit-identical
-paths.
+``simulate_fpt`` returns the default times.  The estimators read them:
+``default_probability_estimate`` gives the binomial default probability
+and ``spread_estimate`` the CDS spread, so one simulation serves both.
+``mc_default_probability`` and ``mc_cds_spread`` simulate, then estimate.
 """
 
 from __future__ import annotations
@@ -29,13 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mc_fallback
-from .core import ModelParams, effective_coefficients, validate
+from .core import ModelParams, validate
 from .errors import NumericalError, ParameterError
-
-try:
-    from . import _mc_kernel
-except ImportError:
-    _mc_kernel = None
 
 #: hard cap on n_paths * n_steps per simulation
 MAX_PATH_STEPS = 2_000_000_000
@@ -45,12 +48,11 @@ SPREAD_BATCHES = 20
 
 SCHEMES = ("euler_full_truncation",)
 
-BACKENDS = ("auto", "compiled", "python")
-
 
 def have_compiled_kernel() -> bool:
-    """True when the compiled stepping kernel was built and imported."""
-    return _mc_kernel is not None
+    """Always False: the stepping kernel is numpy only.  Kept for callers
+    that report which kernel ran."""
+    return False
 
 
 @dataclass(frozen=True)
@@ -92,22 +94,7 @@ class McResult:
     n_paths: int
 
 
-def _resolve_backend(backend: str):
-    if backend not in BACKENDS:
-        raise ParameterError("backend", f"unknown backend {backend!r}; "
-                                        f"supported: {', '.join(BACKENDS)}")
-    if backend == "python":
-        return _mc_fallback
-    if backend == "compiled":
-        if _mc_kernel is None:
-            raise ParameterError("backend", "compiled kernel not available; "
-                                            "build the extension or use backend='python'")
-        return _mc_kernel
-    return _mc_kernel if _mc_kernel is not None else _mc_fallback
-
-
-def simulate_fpt(params: ModelParams, cfg: McConfig, *,
-                 backend: str = "auto") -> np.ndarray:
+def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
     """Simulate default times of the transformed state on a uniform grid.
 
     Returns an array of length n_paths holding the grid time at which each
@@ -115,8 +102,6 @@ def simulate_fpt(params: ModelParams, cfg: McConfig, *,
     paths that survive to the horizon.
     """
     validate(params)
-    kernel = _resolve_backend(backend)
-    coeffs = effective_coefficients(params)
     two_a = 2.0 - params.alpha
 
     n = cfg.n_paths
@@ -124,51 +109,48 @@ def simulate_fpt(params: ModelParams, cfg: McConfig, *,
     tgrid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
     dv = np.diff(tgrid + params.beta ** 2 * tgrid ** (2.0 * params.hurst))
 
-    adt = coeffs.a_drift * dt
+    # Units with s0 = 1: x0 = 1 and delta^2 = sigma0^2.
+    adt = two_a * params.r * dt
     # B(t) dt and 2 C(t) dt integrate exactly to these multiples of dv.
-    b_steps = 0.5 * coeffs.delta_sq * (1.0 - params.alpha) * two_a * dv
-    csd_steps = two_a * math.sqrt(coeffs.delta_sq) * np.sqrt(dv)
+    b_steps = 0.5 * params.sigma0 ** 2 * (1.0 - params.alpha) * two_a * dv
+    csd_steps = two_a * params.sigma0 * np.sqrt(dv)
 
-    x = np.full(n, coeffs.x0)
-    alive = np.ones(n, dtype=np.uint8)
+    x = np.ones(n)
+    index = np.arange(n)
     default_time = np.full(n, np.nan)
+    work = np.empty(n)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
 
+    n_alive = n
     for k in range(cfg.n_steps):
         z = rng.standard_normal(n)
-        n_alive = kernel.step_paths(x, alive, default_time, z, adt,
-                                    float(b_steps[k]), float(csd_steps[k]),
-                                    float(tgrid[k + 1]))
+        n_alive = _mc_fallback.step_paths(x[:n_alive], index[:n_alive], default_time, z,
+                                          adt, float(b_steps[k]), float(csd_steps[k]),
+                                          float(tgrid[k + 1]), work)
         if n_alive == 0:
             break
     return default_time
 
 
-def mc_default_probability(params: ModelParams, cfg: McConfig, *,
-                           backend: str = "auto") -> McResult:
+def default_probability_estimate(default_time: np.ndarray) -> McResult:
     """Fraction of paths absorbed by the horizon, with binomial standard error."""
-    default_time = simulate_fpt(params, cfg, backend=backend)
-    n = cfg.n_paths
+    n = default_time.size
     n_def = int(np.count_nonzero(~np.isnan(default_time)))
     p_hat = n_def / n
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
     return McResult(p_hat, std_error, n_def, n)
 
 
-def mc_cds_spread(params: ModelParams, contract, cfg: McConfig, *,
-                  backend: str = "auto") -> McResult:
-    """Monte-Carlo estimate of the equilibrium spread in basis points.
+def spread_estimate(default_time: np.ndarray, params: ModelParams, contract) -> McResult:
+    """Equilibrium spread in basis points from simulated default times.
 
     Per path, the protection payoff is (1-R) e^(-r tau) if default occurs
     by maturity and the annuity is the discounted sum of accruals at the
     payment dates survived.  The estimate is the ratio of means; the
-    standard error comes from 20 contiguous path batches.
+    standard error comes from 20 contiguous path batches.  The simulation
+    horizon must reach the contract maturity.
     """
-    if cfg.horizon < contract.maturity - 1e-12:
-        raise ParameterError("horizon",
-                             f"simulation horizon {cfg.horizon} is shorter than "
-                             f"the contract maturity {contract.maturity}")
-    default_time = simulate_fpt(params, cfg, backend=backend)
+    n = default_time.size
     maturity = contract.maturity
     r = params.r
 
@@ -178,7 +160,7 @@ def mc_cds_spread(params: ModelParams, contract, cfg: McConfig, *,
                           (1.0 - contract.recovery) * np.exp(-r * np.where(defaulted, tau, 0.0)),
                           0.0)
     accrual = 1.0 / contract.payments_per_year
-    annuity = np.zeros(cfg.n_paths)
+    annuity = np.zeros(n)
     for t_i in contract.payment_times():
         annuity += np.where(tau > t_i, accrual * math.exp(-r * t_i), 0.0)
 
@@ -188,7 +170,7 @@ def mc_cds_spread(params: ModelParams, contract, cfg: McConfig, *,
                              "date; the Monte-Carlo spread is undefined")
     estimate = 1e4 * float(np.mean(protection)) / mean_annuity
 
-    n_batches = min(SPREAD_BATCHES, cfg.n_paths)
+    n_batches = min(SPREAD_BATCHES, n)
     batch_spreads = []
     for prot_b, ann_b in zip(np.array_split(protection, n_batches),
                              np.array_split(annuity, n_batches)):
@@ -204,4 +186,18 @@ def mc_cds_spread(params: ModelParams, contract, cfg: McConfig, *,
         std_error = 0.0
 
     n_def = int(np.count_nonzero(defaulted))
-    return McResult(estimate, std_error, n_def, cfg.n_paths)
+    return McResult(estimate, std_error, n_def, n)
+
+
+def mc_default_probability(params: ModelParams, cfg: McConfig) -> McResult:
+    """Simulate, then estimate the default probability by the horizon."""
+    return default_probability_estimate(simulate_fpt(params, cfg))
+
+
+def mc_cds_spread(params: ModelParams, contract, cfg: McConfig) -> McResult:
+    """Simulate to the horizon, then estimate the spread in basis points."""
+    if cfg.horizon < contract.maturity - 1e-12:
+        raise ParameterError("horizon",
+                             f"simulation horizon {cfg.horizon} is shorter than "
+                             f"the contract maturity {contract.maturity}")
+    return spread_estimate(simulate_fpt(params, cfg), params, contract)

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -5,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from mfcev.cds import CdsContract, cds_spread
-from mfcev.cli import main
+from mfcev.cli import _fmt_bps, _fmt_prob, main
 from mfcev.core import ModelParams
+from mfcev.mc import McConfig, mc_cds_spread, mc_default_probability
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -189,13 +191,40 @@ class TestValidateCommand:
         _, second, _ = run_cli(capsys, "validate", *self.VALIDATE_FLAGS)
         assert first == second
 
-    def test_overflow_exits_3(self, capsys):
-        # the Monte-Carlo state starts at s0^(2-alpha) = 50^502, beyond a double
-        flags = ["--alpha=-500"] + self.VALIDATE_FLAGS[2:-6] + ["--paths", "100",
-                                                               "--steps", "10", "--seed", "1"]
+    GOLDEN_FLAGS = ["--alpha=-2", "--beta=0.5", "--hurst=0.8", "--sigma0=0.2",
+                    "--rate=0.05", "--maturity=2", "--paths=20000", "--steps=200",
+                    "--seed=4242"]
+
+    def test_matches_golden_report(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", *self.GOLDEN_FLAGS)
+        assert code == 1
+        assert out.encode() == (DATA / "validate.txt").read_bytes()
+
+    def test_report_matches_separate_estimators(self, capsys):
+        # one shared simulation must print what two separate runs estimate
+        _, out, _ = run_cli(capsys, "validate", *self.GOLDEN_FLAGS)
+        fields = dict(line.split(" ", 1) for line in out.strip().split("\n"))
+        params = ModelParams(r=0.05, sigma0=0.2, alpha=-2.0, beta=0.5, hurst=0.8)
+        contract = CdsContract(maturity=2.0, recovery=0.5)
+        cfg = McConfig(n_paths=20000, n_steps=200, horizon=2.0, seed=4242)
+        q = mc_default_probability(params, cfg)
+        spread = mc_cds_spread(params, contract, cfg)
+        assert fields["mc_q"] == _fmt_prob(q.estimate, None)
+        assert fields["mc_q_std_error"] == _fmt_prob(q.std_error, None)
+        assert fields["mc_spread_bps"] == _fmt_bps(spread.estimate, None)
+        assert fields["mc_spread_std_error_bps"] == _fmt_bps(spread.std_error, None)
+
+    def test_extreme_alpha_prices(self, capsys):
+        # the Monte-Carlo state runs with s0 = 1, so s0^(2-alpha) = 50^502 is never formed
+        flags = ["--alpha=-500"] + self.VALIDATE_FLAGS[2:-6] + ["--paths", "5000",
+                                                               "--steps", "100", "--seed", "1"]
         code, out, err = run_cli(capsys, "validate", *flags)
-        assert code == 3
-        assert "numerical failure" in err and "Traceback" not in err
+        assert code in (0, 1)
+        fields = dict(line.split(" ", 1) for line in out.strip().split("\n"))
+        assert fields.pop("result").startswith(("PASS", "FAIL"))
+        assert len(fields) == 7
+        assert all(math.isfinite(float(value)) for value in fields.values())
+        assert "Traceback" not in err
 
     def test_zero_paths_exits_2(self, capsys):
         flags = self.VALIDATE_FLAGS[:-6] + ["--paths", "0", "--steps", "10",

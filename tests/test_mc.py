@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,18 @@ from mfcev import _mc_fallback
 from mfcev.cds import CdsContract, cds_spread
 from mfcev.core import default_probability
 from mfcev.errors import NumericalError, ParameterError
-from mfcev.mc import (MAX_PATH_STEPS, McConfig, have_compiled_kernel,
-                      mc_cds_spread, mc_default_probability, simulate_fpt)
+from mfcev.mc import (MAX_PATH_STEPS, McConfig, mc_cds_spread,
+                      mc_default_probability, simulate_fpt)
 
-needs_compiled = pytest.mark.skipif(not have_compiled_kernel(),
-                                    reason="compiled kernel not built")
+DATA = Path(__file__).resolve().parent / "data"
+
+#: the four mc-validate parameter sets (r = 5%, s0 = 50)
+VALIDATE_CONFIGS = {
+    "classical": dict(alpha=0.0, beta=0.0, hurst=0.8, sigma0=0.2),
+    "frac_alpha-2": dict(alpha=-2.0, beta=0.5, hurst=0.8, sigma0=0.2),
+    "frac_beta1": dict(alpha=0.0, beta=1.0, hurst=0.9, sigma0=0.2),
+    "distressed": dict(alpha=0.0, beta=1.0, hurst=0.9, sigma0=0.8),
+}
 
 
 class TestMcConfig:
@@ -60,18 +68,14 @@ class TestSimulateFpt:
         assert np.isin(hit, grid).all()
         assert (hit > 0.0).all() and (hit <= 2.0).all()
 
-    @needs_compiled
-    def test_backends_bit_identical(self, fig_params):
-        p = fig_params(alpha=-2.0, beta=1.0, hurst=0.9)
-        cfg = McConfig(n_paths=5000, n_steps=200, horizon=2.0, seed=321)
-        compiled = simulate_fpt(p, cfg, backend="compiled")
-        python = simulate_fpt(p, cfg, backend="python")
-        assert np.array_equal(compiled, python, equal_nan=True)
-
-    def test_unknown_backend(self, fig_params):
-        cfg = McConfig(n_paths=10, n_steps=10, horizon=1.0, seed=1)
-        with pytest.raises(ParameterError):
-            simulate_fpt(fig_params(), cfg, backend="fortran")
+    @pytest.mark.parametrize("label", sorted(VALIDATE_CONFIGS))
+    def test_matches_frozen_default_times(self, fig_params, label):
+        # frozen from the full-array step with the state in model units;
+        # the live-path step in s0 = 1 units must reproduce every bit
+        frozen = np.load(DATA / "simulate_fpt.npz")[label]
+        cfg = McConfig(n_paths=10000, n_steps=100, horizon=2.0, seed=4242)
+        times = simulate_fpt(fig_params(**VALIDATE_CONFIGS[label]), cfg)
+        assert np.array_equal(times, frozen, equal_nan=True)
 
     def test_coupled_seeds_order_default_counts_by_beta(self, fig_params):
         # same noise, increasing beta -> stochastically earlier defaults
@@ -97,33 +101,65 @@ class TestSimulateFpt:
 
 
 class TestStepKernels:
-    def _kernels(self):
-        kernels = [_mc_fallback]
-        if have_compiled_kernel():
-            from mfcev import _mc_kernel
-            kernels.append(_mc_kernel)
-        return kernels
-
     def test_absorbed_paths_stay_absorbed(self):
-        for kernel in self._kernels():
-            x = np.array([0.0, 100.0])
-            alive = np.array([0, 1], dtype=np.uint8)
-            tdef = np.array([0.25, np.nan])
-            z = np.array([5.0, 0.1])
-            n_alive = kernel.step_paths(x, alive, tdef, z, 0.01, 1.0, 2.0, 0.5)
-            assert n_alive == 1
-            assert x[0] == 0.0 and alive[0] == 0 and tdef[0] == 0.25
-            assert x[1] > 0.0 and alive[1] == 1 and np.isnan(tdef[1])
+        x = np.array([1.0, 100.0])
+        index = np.arange(2)
+        tdef = np.full(2, np.nan)
+        work = np.empty(2)
+        n_alive = _mc_fallback.step_paths(x, index, tdef, np.array([-30.0, 0.1]),
+                                          0.01, 1.0, 2.0, 0.25, work)
+        assert n_alive == 1
+        assert index[0] == 1 and x[0] > 0.0
+        assert tdef[0] == 0.25 and np.isnan(tdef[1])
+        # only the live prefix is stepped again: path 0 keeps its default time
+        # whatever its draw, and path 1 reads its own draw
+        z = np.array([-30.0, 0.1])
+        x1 = x[0]
+        n_alive = _mc_fallback.step_paths(x[:1], index[:1], tdef, z, 0.01, 1.0, 2.0, 0.5,
+                                          work)
+        assert n_alive == 1
+        assert x[0] == ((x1 + 0.01 * x1) + 1.0) + ((2.0 * math.sqrt(x1)) * 0.1)
+        assert tdef[0] == 0.25 and np.isnan(tdef[1])
 
     def test_crossing_is_recorded_at_right_endpoint(self):
-        for kernel in self._kernels():
-            x = np.array([1.0])
-            alive = np.array([1], dtype=np.uint8)
-            tdef = np.array([np.nan])
-            z = np.array([-30.0])
-            n_alive = kernel.step_paths(x, alive, tdef, z, 0.0, 0.0, 1.0, 0.75)
-            assert n_alive == 0
-            assert alive[0] == 0 and x[0] == 0.0 and tdef[0] == 0.75
+        x = np.array([1.0])
+        index = np.arange(1)
+        tdef = np.array([np.nan])
+        z = np.array([-30.0])
+        n_alive = _mc_fallback.step_paths(x, index, tdef, z, 0.0, 0.0, 1.0, 0.75,
+                                          np.empty(1))
+        assert n_alive == 0
+        assert tdef[0] == 0.75
+
+    def test_update_is_the_prescribed_expression(self):
+        # bit for bit, in this order of operations, for every surviving path
+        rng = np.random.default_rng(5)
+        x0 = rng.uniform(0.1, 10.0, 1000)
+        z = rng.standard_normal(1000)
+        adt, b, csd = 0.013, 0.0071, 0.37
+        expected = ((x0 + adt * x0) + b) + ((csd * np.sqrt(x0)) * z)
+        x = x0.copy()
+        index = np.arange(1000)
+        tdef = np.full(1000, np.nan)
+        n_alive = _mc_fallback.step_paths(x, index, tdef, z.copy(), adt, b, csd, 1.0,
+                                          np.empty(1000))
+        assert n_alive == np.count_nonzero(expected > 0.0) > 900
+        assert np.array_equal(x[:n_alive], expected[index[:n_alive]])
+        assert np.array_equal(np.isnan(tdef), expected > 0.0)
+
+    def test_survivors_fill_the_holes(self):
+        # paths 1 and 3 die; the survivor 4 moves into hole 1, path 3's slot
+        # is beyond the live prefix, and each state keeps its path number
+        x = np.full(5, 1.0)
+        index = np.arange(5)
+        tdef = np.full(5, np.nan)
+        z = np.array([0.5, -30.0, 0.25, -30.0, 0.125])
+        n_alive = _mc_fallback.step_paths(x, index, tdef, z.copy(), 0.0, 0.0, 1.0, 1.0,
+                                          np.empty(5))
+        assert n_alive == 3
+        assert sorted(index[:3]) == [0, 2, 4]
+        assert np.array_equal(x[:3], 1.0 + z[index[:3]])
+        assert np.isnan(tdef[[0, 2, 4]]).all() and (tdef[[1, 3]] == 1.0).all()
 
 
 class TestMcDefaultProbability:
