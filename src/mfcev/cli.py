@@ -18,6 +18,7 @@ or a float operation that overflowed).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -264,8 +265,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # one simulation to the maturity feeds both estimators
     default_time = mc.simulate_fpt(params, cfg)
     mc_q = mc.default_probability_estimate(default_time)
-    z = ((mc_q.estimate - analytic_q) / mc_q.std_error
-         if mc_q.std_error > 0.0 else 0.0 if mc_q.estimate == analytic_q else float("inf"))
+    # with no default (or no survivor) the binomial standard error is 0;
+    # the standard error under the null hypothesis, sqrt(Q (1-Q) / n), is not
+    null_std_error = math.sqrt(analytic_q * (1.0 - analytic_q) / mc_q.n_paths)
+    std_error = mc_q.std_error if mc_q.std_error > 0.0 else null_std_error
+    z = ((mc_q.estimate - analytic_q) / std_error
+         if std_error > 0.0 else 0.0 if mc_q.estimate == analytic_q else float("inf"))
 
     analytic_spread = cds_spread(contract, params)
     mc_spread = mc.spread_estimate(default_time, params, contract)

@@ -18,6 +18,12 @@ C.  This module evaluates phi (closed form and quadrature oracle), the
 first-passage density g = dQ/dt, and Q itself.  The closed forms are
 array-native (``FirstPassageLaw``); the scalar functions are thin views of
 it.
+
+Q has one evaluator, used for Q alone and for Q with g: the regularized
+upper incomplete gamma from ``scipy.special.gammaincc`` where
+u = x0/phi >= 1.1, and 1 - ``gammainc`` below, where ``gammaincc`` is
+about ten times slower and most of the pricing kernel's time used to go.
+The two agree to 1e-11 relative over the whole accepted alpha range.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ from .errors import ParameterError, QuadratureError
 
 #: below this rate the r -> 0 analytic branch of phi is used
 R_ZERO_TOL = 1e-12
+
+#: Q(s, u) is evaluated as 1 - P(s, u) below this u = x0/phi (see
+#: _regularized_upper_gamma)
+Q_SPLIT_U = 1.1
 
 #: log-density floor; anything below exp(LOG_FLOOR) is reported as exact 0
 LOG_FLOOR = -700.0
@@ -144,6 +154,35 @@ def effective_coefficients(params: ModelParams) -> EffectiveCoefficients:
     )
 
 
+def _regularized_upper_gamma(s, u) -> np.ndarray:
+    """Q(s, u) = Gamma(s, u) / Gamma(s), as 1 - P(s, u) below u = Q_SPLIT_U.
+
+    For u < 1.1 scipy's ``gammaincc`` sums a series that re-evaluates
+    ln Gamma(1 + s) at every element, which makes it about ten times
+    slower there than ``gammainc`` (and than itself above the split).
+    Below the split Q >= Q(s, 1.1), so the complement loses little: over
+    s in [1/1002, 1000] (alpha in [-1000, 1.999]) it is within 1e-11
+    relative of ``gammaincc`` (worst seen 6.5e-12, at s ~ 1/970 where
+    Q ~ 2.5e-4, in 2e6 random points), and within 1e-13 for s >= 0.1.
+    Above the split Q can be far below the 1e-16 a complement resolves,
+    so ``gammaincc`` stays.  Q stays monotone in u, except that it may
+    step by up to that bound at the split itself.
+
+    u carries the broadcast shape.  The two bands are gathered and
+    scattered with boolean masks: a scipy.special ufunc called with
+    ``where=`` over a 2-D array corrupts the heap (numpy 2.4, scipy 1.17).
+    """
+    low = u < Q_SPLIT_U
+    if not low.any():
+        return gammaincc(s, u)
+    s = np.broadcast_to(s, u.shape)
+    high = ~low
+    out = np.empty(u.shape)
+    out[low] = 1.0 - gammainc(s[low], u[low])
+    out[high] = gammaincc(s[high], u[high])
+    return out
+
+
 def _column(values) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(-1, 1)
 
@@ -168,6 +207,13 @@ class FirstPassageLaw:
 
     the second term being beta^2 H integral_0^t u^(2H-1) e^(-lambda u) du.
     Below R_ZERO_TOL the rate drops out: phi(t) = k (t + beta^2 t^(2H)) / 2.
+
+    ``q`` and ``q_and_g`` share one Q evaluator, so they give the same Q
+    bit for bit.  It splits at u = 1/phi = Q_SPLIT_U = 1.1: ``gammaincc``
+    at and above, 1 - ``gammainc`` below, where ``gammaincc`` is about ten
+    times slower.  Q >= Q(s, 1.1) below the split, so the complement is
+    within 1e-11 relative of ``gammaincc`` for every s = 1/(2-alpha) in
+    [1/1002, 1000], and within 1e-13 for s >= 0.1.
     """
 
     r: np.ndarray
@@ -204,11 +250,12 @@ class FirstPassageLaw:
 
     def phi(self, t) -> np.ndarray:
         lam = self.lam
-        fractional = self.frac_coef != 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
             decay = np.where(self.zero_rate, 0.5 * t, -np.expm1(-lam * t) / (2.0 * lam))
-            frac = gammainc(self.two_h, lam * t, where=fractional,
-                            out=np.zeros(np.broadcast_shapes(np.shape(t), lam.shape)))
+        # P(2H, lambda t) is finite on every row and frac_coef = 0 zeroes it
+        # on the classical ones, so no row is masked out (a scipy.special
+        # ufunc's where= over a 2-D array corrupts the heap)
+        frac = gammainc(self.two_h, lam * t)
         if self.zero_rate.any():
             frac = np.where(self.zero_rate, np.power(t, self.two_h), frac)
         return self.k * (decay + self.frac_coef * frac)
@@ -220,7 +267,7 @@ class FirstPassageLaw:
 
     def q(self, t) -> np.ndarray:
         """Default probability Q(t) = Gamma(s, 1/phi(t)) / Gamma(s), s = 1 - xi."""
-        return gammaincc(self.s, self._inverse_phi(t))
+        return _regularized_upper_gamma(self.s, self._inverse_phi(t))
 
     def q_and_g(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Q(t) and the first-passage density g(t) = dQ/dt, for t > 0.
@@ -229,7 +276,7 @@ class FirstPassageLaw:
         evaluated in log space; values below exp(LOG_FLOOR) are exact 0.
         """
         u = self._inverse_phi(t)
-        q = gammaincc(self.s, u)
+        q = _regularized_upper_gamma(self.s, u)
         # clamping u keeps u^(1+s) e^(-u) finite (and 0) where phi underflowed
         u = np.minimum(u, 1e300)
         with np.errstate(divide="ignore"):

@@ -1,4 +1,8 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +188,31 @@ class TestSpreadTable:
         assert len(cells) == 1
         assert math.isnan(cells[0].spread_bps)
         assert "maturity" in cells[0].error
+
+    def test_alternating_classical_and_fractional_rows(self):
+        # phi once evaluated P(2H, lambda t) through a scipy.special ufunc
+        # with where= over a 2-D array, which corrupted the heap and aborted
+        # the interpreter when classical and fractional rows alternated; a
+        # subprocess keeps such an abort from killing the pytest run
+        script = (
+            "import json\n"
+            "from mfcev.cds import spread_table\n"
+            "from mfcev.core import ModelParams\n"
+            "base = ModelParams(r=0.05, sigma0=0.2, alpha=0, beta=0, hurst=0.8, s0=50)\n"
+            "cells = spread_table(base, [0, -2], [(0.0, None), (0.5, 0.8)] * 6, [1, 2, 5, 10])\n"
+            "print(json.dumps([[c.alpha, c.beta, c.hurst, c.maturity, c.spread_bps]"
+            " for c in cells]))\n")
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"})
+        assert proc.returncode == 0, proc.stderr
+        cells = json.loads(proc.stdout)
+        assert len(cells) == 96
+        for alpha, beta, hurst, maturity, spread in cells:
+            params = ModelParams(r=0.05, sigma0=0.2, alpha=alpha, beta=beta,
+                                 hurst=hurst if hurst is not None else 0.8, s0=50)
+            direct = cds_spread(CdsContract(maturity=maturity, recovery=0.5), params)
+            assert spread == pytest.approx(direct, rel=1e-12)
 
     def test_missing_hurst_rejected_for_fractional_rows(self, fig_params):
         with pytest.raises(ParameterError):

@@ -226,6 +226,18 @@ class TestValidateCommand:
         assert all(math.isfinite(float(value)) for value in fields.values())
         assert "Traceback" not in err
 
+    def test_no_defaults_scores_against_null_std_error(self, capsys):
+        # 100 paths see no default against an expected 0.94: the binomial
+        # standard error is 0, so z uses sqrt(Q (1-Q) / n) under the null
+        flags = ["--alpha=-500", "--beta=0", "--hurst=0.8", "--sigma0=0.2", "--rate=0.05",
+                 "--maturity=5", "--paths=100", "--steps=10", "--seed=1"]
+        code, out, _ = run_cli(capsys, "validate", *flags)
+        fields = dict(line.split(" ", 1) for line in out.strip().split("\n"))
+        assert (fields["mc_q"], fields["mc_q_std_error"]) == ("0", "0")
+        q = float(fields["analytic_q"])
+        assert fields["z_score"] == f"{-q / math.sqrt(q * (1.0 - q) / 100):.2f}" == "-0.97"
+        assert code == 0 and fields["result"].startswith("PASS")
+
     def test_zero_paths_exits_2(self, capsys):
         flags = self.VALIDATE_FLAGS[:-6] + ["--paths", "0", "--steps", "10",
                                             "--seed", "1"]

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
-from mfcev.core import (ModelParams, default_probability,
+from mfcev.core import (Q_SPLIT_U, FirstPassageLaw, ModelParams, default_probability,
                         effective_coefficients, fpt_density, phi_closed,
                         phi_quadrature, validate)
 from mfcev.errors import ParameterError
@@ -196,3 +198,44 @@ class TestDefaultProbability:
         assert default_probability(t, p) == pytest.approx(
             default_probability_reference(t, r, 0.2, alpha, 0.5, 0.8), rel=1e-10)
         assert fpt_density(t, p) >= 0.0
+
+
+class TestQEvaluator:
+    """Q as gammaincc(s, u) from u = 1.1 up and 1 - gammainc(s, u) below."""
+
+    #: s = 1/(2 - alpha) from 1/1002 to 1000
+    ALPHAS = [-1000.0, -733.0, -100.0, -10.0, -2.0, 0.0, 1.0, 1.5, 1.9, 1.99, 1.999]
+    #: u = 1/phi from 1e-4 to 200, dense on both sides of the split
+    U = np.concatenate([np.geomspace(1e-4, 0.9, 40), np.linspace(0.9, 1.3, 401),
+                        np.geomspace(1.3, 200.0, 60)[1:]])
+
+    def law_and_times(self, u):
+        # r = 0 and beta = 0: phi(t) = sigma0^2 (2-alpha)^2 t / 2, so this t gives 1/phi = u
+        params = [ModelParams(r=0.0, sigma0=0.2, alpha=a, beta=0.0, hurst=0.8)
+                  for a in self.ALPHAS]
+        law = FirstPassageLaw.of(params)
+        return law, 2.0 / (law.k * u)
+
+    def test_matches_gammaincc(self):
+        assert self.U.min() < Q_SPLIT_U < 50.0 < self.U.max()
+        law, t = self.law_and_times(self.U)
+        expected = gammaincc(law.s, 1.0 / law.phi(t))
+        assert np.all(expected > 0.0)
+        # the complement below the split loses about log10(1/Q) digits:
+        # at most 6.5e-12 seen, at s ~ 1/970 where Q ~ 2.5e-4
+        np.testing.assert_allclose(law.q(t), expected, rtol=1e-11, atol=0.0)
+
+    def test_bounded_and_monotone_across_split(self):
+        law, t = self.law_and_times(self.U)
+        q = law.q(t)
+        assert np.all((q >= 0.0) & (q <= 1.0))
+        # u increases along each row, so Q must not increase
+        assert np.all(np.diff(q, axis=1) <= 0.0)
+
+    def test_q_and_g_share_the_evaluator(self):
+        law, t = self.law_and_times(self.U)
+        assert np.array_equal(law.q_and_g(t)[0], law.q(t))
+        fractional = FirstPassageLaw.of([ModelParams(r=0.05, sigma0=0.2, alpha=-2.0,
+                                                     beta=1.0, hurst=0.9)])
+        times = np.geomspace(1e-2, 30.0, 200)
+        assert np.array_equal(fractional.q_and_g(times)[0], fractional.q(times))
