@@ -3,8 +3,7 @@ mixed-fractional CEV model, with a Monte-Carlo validation oracle."""
 
 from .cds import (CdsContract, CurvePoint, SpreadCell, cds_spread,
                   default_curve, premium_annuity, protection_leg, spread_table)
-from .core import (EffectiveCoefficients, ModelParams, default_probability,
-                   effective_coefficients, fpt_density, phi_closed,
+from .core import (ModelParams, default_probability, fpt_density, phi_closed,
                    phi_quadrature, validate)
 from .errors import (NonConvergenceError, NumericalError, ParameterError,
                      QuadratureError)
@@ -15,10 +14,9 @@ from .mc import (McConfig, McResult, default_probability_estimate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CdsContract", "CurvePoint", "SpreadCell", "EffectiveCoefficients",
-    "ModelParams", "McConfig", "McResult",
+    "CdsContract", "CurvePoint", "SpreadCell", "ModelParams", "McConfig", "McResult",
     "cds_spread", "default_curve", "default_probability",
-    "default_probability_estimate", "effective_coefficients", "fpt_density",
+    "default_probability_estimate", "fpt_density",
     "mc_cds_spread", "mc_default_probability", "phi_closed",
     "phi_quadrature", "premium_annuity", "protection_leg", "simulate_fpt",
     "spread_estimate", "spread_table", "validate",

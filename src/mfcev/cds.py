@@ -57,8 +57,9 @@ class CdsContract:
     payments_per_year: int = 2
 
     def __post_init__(self):
-        if not self.maturity > 0.0:
-            raise ParameterError("maturity", f"maturity must be > 0, got {self.maturity}")
+        if not 0.0 < self.maturity < math.inf:
+            raise ParameterError("maturity",
+                                 f"maturity must be finite and > 0, got {self.maturity}")
         if not 0.0 <= self.recovery <= 1.0:
             raise ParameterError("recovery", f"recovery must lie in [0, 1], got {self.recovery}")
         if not self.notional > 0.0:
@@ -347,8 +348,8 @@ def spread_table(params_base: ModelParams,
 def default_curve(params: ModelParams, t_max: float, n_points: int) -> list[CurvePoint]:
     """Default probability sampled on a uniform grid over [0, t_max]."""
     validate(params)
-    if not t_max > 0.0:
-        raise ParameterError("t_max", f"t_max must be > 0, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ParameterError("t_max", f"t_max must be finite and > 0, got {t_max}")
     if n_points < 2:
         raise ParameterError("n_points", f"n_points must be >= 2, got {n_points}")
     step = t_max / (n_points - 1)

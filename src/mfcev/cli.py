@@ -1,14 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: the subcommands spread, table1, curve and validate.
 
-Subcommands:
-    spread    one equilibrium CDS spread, printed in basis points
-    table1    the benchmark spread grid as CSV
-    curve     default-probability term structure(s) as CSV
-    validate  Monte-Carlo cross-check of the closed-form analytics
-
-All configuration comes from flags, optionally seeded from a flat
-``key = value`` scenario file (explicit flags win).  CSV output uses a
-header row, comma separators, ``.`` decimals and LF line endings.
+``_COMMANDS`` declares each subcommand once: its help text, its flags,
+the flags it requires and its defaults.  All configuration comes from
+flags, optionally seeded from a flat ``key = value`` scenario file
+(explicit flags win over the file, the file over the defaults).  CSV
+output uses a header row, comma separators, ``.`` decimals and LF line
+endings.
 
 Exit codes: 0 success, 1 Monte-Carlo validation failure, 2 usage or
 parameter error, 3 numerical failure (any ArithmeticError: a NumericalError,
@@ -21,6 +18,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .cds import CdsContract, cds_spread, default_curve, spread_table
 from .core import ModelParams, default_probability
@@ -35,41 +33,46 @@ TABLE1_MATURITIES = [1.0, 2.0, 5.0, 10.0]
 _MODEL_KEYS = ("alpha", "beta", "hurst", "sigma0", "rate", "s0")
 _Z_LIMIT = 4.0
 
+#: every flag: its parser and help text
+_FLAGS = {
+    "alpha": (float, "elasticity exponent (< 2)"),
+    "beta": (float, "fractional mixing weight (>= 0)"),
+    "hurst": (float, "Hurst exponent in (3/4, 1)"),
+    "sigma0": (float, "volatility scale per sqrt(year)"),
+    "rate": (float, "risk-free rate per year"),
+    "s0": (float, "initial price"),
+    "recovery": (float, "recovery rate in [0, 1]"),
+    "maturity": (float, "contract maturity in years"),
+    "freq": (int, "premium payments per year"),
+    "tmax": (float, "curve horizon in years"),
+    "points": (int, "number of curve samples (>= 2)"),
+    "paths": (int, "Monte-Carlo path count"),
+    "steps": (int, "Monte-Carlo time steps"),
+    "seed": (int, "Monte-Carlo master seed"),
+    "precision": (int, "override output precision"),
+    "output": (str, "write CSV here instead of stdout"),
+    "maturities": (str, "comma-separated maturity list"),
+    "series": (str, "curve series BETA[:HURST]; repeatable"),
+}
+
 
 @dataclass(frozen=True)
-class _Flag:
-    name: str
-    parse: type
+class _Command:
+    """One subcommand: its help text and entry point, the flags it reads,
+    those it cannot run without, and the values of the others when neither
+    a flag nor the scenario file sets them (None otherwise)."""
+
     help: str
-    default: object = None
-
-
-_FLAGS = {
-    "alpha": _Flag("alpha", float, "elasticity exponent (< 2)"),
-    "beta": _Flag("beta", float, "fractional mixing weight (>= 0)"),
-    "hurst": _Flag("hurst", float, "Hurst exponent in (3/4, 1)"),
-    "sigma0": _Flag("sigma0", float, "volatility scale per sqrt(year)"),
-    "rate": _Flag("rate", float, "risk-free rate per year"),
-    "s0": _Flag("s0", float, "initial price", 50.0),
-    "recovery": _Flag("recovery", float, "recovery rate in [0, 1]"),
-    "maturity": _Flag("maturity", float, "contract maturity in years"),
-    "freq": _Flag("freq", int, "premium payments per year", 2),
-    "tmax": _Flag("tmax", float, "curve horizon in years"),
-    "points": _Flag("points", int, "number of curve samples (>= 2)"),
-    "paths": _Flag("paths", int, "Monte-Carlo path count"),
-    "steps": _Flag("steps", int, "Monte-Carlo time steps"),
-    "seed": _Flag("seed", int, "Monte-Carlo master seed"),
-    "precision": _Flag("precision", int, "override output precision"),
-    "output": _Flag("output", str, "write CSV here instead of stdout"),
-    "maturities": _Flag("maturities", str, "comma-separated maturity list"),
-    "series": _Flag("series", str, "curve series BETA[:HURST]; repeatable"),
-}
+    run: Callable[[dict], int]
+    flags: tuple[str, ...]
+    required: tuple[str, ...]
+    defaults: dict
 
 
 def _add_flags(sub: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
     for name in names:
-        flag = _FLAGS[name]
-        kwargs = {"type": flag.parse, "help": flag.help, "default": None}
+        parse, help_text = _FLAGS[name]
+        kwargs = {"type": parse, "help": help_text, "default": None}
         if name == "series":
             kwargs["action"] = "append"
         sub.add_argument(f"--{name}", **kwargs)
@@ -98,26 +101,28 @@ def _parse_scenario(path: str, allowed: tuple[str, ...]) -> dict:
             raise ParameterError("scenario",
                                  f"{path}:{lineno}: unknown key {key!r} "
                                  f"(accepted: {', '.join(allowed)})")
-        flag = _FLAGS[key]
         try:
             if key == "series":
                 values[key] = [part.strip() for part in value.split(",") if part.strip()]
             else:
-                values[key] = flag.parse(value)
+                values[key] = _FLAGS[key][0](value)
         except ValueError as exc:
             raise ParameterError(key, f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
 
 
-def _merge(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
-    """Resolve each flag as: explicit flag > scenario entry > built-in default."""
-    scenario = _parse_scenario(args.scenario, names) if args.scenario else {}
+def _merge(args: argparse.Namespace, command: _Command) -> dict:
+    """Resolve each flag as: explicit flag > scenario entry > command default."""
+    scenario = _parse_scenario(args.scenario, command.flags) if args.scenario else {}
     merged = {}
-    for name in names:
+    for name in command.flags:
         value = getattr(args, name)
         if value is None:
-            value = scenario.get(name, _FLAGS[name].default)
+            value = scenario.get(name, command.defaults.get(name))
         merged[name] = value
+    _require(merged, command.required)
+    if merged["precision"] is not None and merged["precision"] < 0:
+        raise ParameterError("precision", f"precision must be >= 0, got {merged['precision']}")
     return merged
 
 
@@ -154,10 +159,7 @@ def _emit(lines: list[str], output: str | None) -> None:
             handle.write(text)
 
 
-def cmd_spread(args: argparse.Namespace) -> int:
-    names = _MODEL_KEYS + ("recovery", "maturity", "freq", "precision")
-    merged = _merge(args, names)
-    _require(merged, ("alpha", "beta", "hurst", "sigma0", "rate", "recovery", "maturity"))
+def cmd_spread(merged: dict) -> int:
     params = _model_params(merged)
     contract = CdsContract(maturity=merged["maturity"], recovery=merged["recovery"],
                            payments_per_year=merged["freq"])
@@ -165,14 +167,7 @@ def cmd_spread(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    names = ("sigma0", "rate", "recovery", "s0", "freq", "maturities",
-             "precision", "output")
-    merged = _merge(args, names)
-    defaults = {"sigma0": 0.2, "rate": 0.05, "recovery": 0.5}
-    for key, value in defaults.items():
-        if merged[key] is None:
-            merged[key] = value
+def cmd_table1(merged: dict) -> int:
     maturities = TABLE1_MATURITIES
     if merged["maturities"] is not None:
         try:
@@ -182,6 +177,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
                                  f"bad maturity list {merged['maturities']!r}") from exc
         if not maturities:
             raise ParameterError("maturities", "maturity list is empty")
+    # bad contract terms are the caller's, so they exit as a parameter error
+    # here rather than as a failed cell of the grid
+    for maturity in maturities:
+        CdsContract(maturity=maturity, recovery=merged["recovery"],
+                    payments_per_year=merged["freq"])
     base = ModelParams(r=merged["rate"], sigma0=merged["sigma0"], alpha=0.0,
                        beta=0.0, hurst=0.8, s0=merged["s0"])
     cells = spread_table(base, TABLE1_ALPHAS, TABLE1_BETA_HURST, maturities,
@@ -212,11 +212,7 @@ def _parse_series(tokens: list[str]) -> list[tuple[float, float | None]]:
     return series
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
-    names = ("alpha", "sigma0", "rate", "s0", "beta", "hurst",
-             "tmax", "points", "series", "precision", "output")
-    merged = _merge(args, names)
-    _require(merged, ("alpha", "sigma0", "rate", "tmax", "points"))
+def cmd_curve(merged: dict) -> int:
     if merged["series"]:
         series = _parse_series(list(merged["series"]))
     else:
@@ -247,14 +243,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    names = _MODEL_KEYS + ("recovery", "maturity", "freq",
-                           "paths", "steps", "seed", "precision")
-    merged = _merge(args, names)
-    _require(merged, ("alpha", "beta", "hurst", "sigma0", "rate",
-                      "maturity", "paths", "steps", "seed"))
-    if merged["recovery"] is None:
-        merged["recovery"] = 0.5
+def cmd_validate(merged: dict) -> int:
     params = _model_params(merged)
     contract = CdsContract(maturity=merged["maturity"], recovery=merged["recovery"],
                            payments_per_year=merged["freq"])
@@ -290,39 +279,49 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1
 
 
+_COMMANDS = {
+    "spread": _Command(
+        "price one CDS spread (bps)", cmd_spread,
+        flags=_MODEL_KEYS + ("recovery", "maturity", "freq", "precision"),
+        required=("alpha", "beta", "hurst", "sigma0", "rate", "recovery", "maturity"),
+        defaults={"s0": 50.0, "freq": 2}),
+    "table1": _Command(
+        "benchmark spread grid as CSV", cmd_table1,
+        flags=("sigma0", "rate", "recovery", "s0", "freq", "maturities", "precision", "output"),
+        required=(),
+        defaults={"sigma0": 0.2, "rate": 0.05, "recovery": 0.5, "s0": 50.0, "freq": 2}),
+    "curve": _Command(
+        "default-probability curve(s) as CSV", cmd_curve,
+        flags=("alpha", "sigma0", "rate", "s0", "beta", "hurst",
+               "tmax", "points", "series", "precision", "output"),
+        required=("alpha", "sigma0", "rate", "tmax", "points"),
+        defaults={"s0": 50.0}),
+    "validate": _Command(
+        "Monte-Carlo vs analytic report", cmd_validate,
+        flags=_MODEL_KEYS + ("recovery", "maturity", "freq", "paths", "steps", "seed",
+                             "precision"),
+        required=("alpha", "beta", "hurst", "sigma0", "rate", "maturity", "paths", "steps",
+                  "seed"),
+        defaults={"recovery": 0.5, "s0": 50.0, "freq": 2}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfcev",
         description="Default probabilities and CDS spreads under the "
                     "mixed-fractional CEV model.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_spread = sub.add_parser("spread", help="price one CDS spread (bps)")
-    _add_flags(p_spread, _MODEL_KEYS + ("recovery", "maturity", "freq", "precision"))
-    p_spread.set_defaults(func=cmd_spread)
-
-    p_table = sub.add_parser("table1", help="benchmark spread grid as CSV")
-    _add_flags(p_table, ("sigma0", "rate", "recovery", "s0", "freq",
-                         "maturities", "precision", "output"))
-    p_table.set_defaults(func=cmd_table1)
-
-    p_curve = sub.add_parser("curve", help="default-probability curve(s) as CSV")
-    _add_flags(p_curve, ("alpha", "sigma0", "rate", "s0", "beta", "hurst",
-                         "tmax", "points", "series", "precision", "output"))
-    p_curve.set_defaults(func=cmd_curve)
-
-    p_val = sub.add_parser("validate", help="Monte-Carlo vs analytic report")
-    _add_flags(p_val, _MODEL_KEYS + ("recovery", "maturity", "freq",
-                                     "paths", "steps", "seed", "precision"))
-    p_val.set_defaults(func=cmd_validate)
+    for name, command in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=command.help), command.flags)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command.run(_merge(args, command))
     except ParameterError as exc:
         print(f"error: invalid parameter '{exc.constraint}': {exc}", file=sys.stderr)
         return 2

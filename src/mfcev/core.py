@@ -74,84 +74,26 @@ class ModelParams:
     def __post_init__(self):
         validate(self)
 
-    @property
-    def delta_sq(self) -> float:
-        """Squared volatility coefficient sigma0^2 * s0^(2-alpha)."""
-        return self.sigma0 ** 2 * self.s0 ** (2.0 - self.alpha)
-
 
 def validate(params: ModelParams) -> ModelParams:
-    """Check every model constraint; raise ParameterError naming the first violated one."""
-    if not params.alpha < 2.0:
-        raise ParameterError("alpha", f"alpha must be < 2, got {params.alpha}")
+    """Check every model constraint; raise ParameterError naming the first violated one.
+
+    Each check is a comparison that NaN fails, bounded strictly at the
+    infinite end, so every parameter must also be finite.
+    """
+    if not -math.inf < params.alpha < 2.0:
+        raise ParameterError("alpha", f"alpha must be finite and < 2, got {params.alpha}")
     if not 0.75 < params.hurst < 1.0:
         raise ParameterError("hurst", f"hurst must lie in (3/4, 1), got {params.hurst}")
-    if not params.beta >= 0.0:
-        raise ParameterError("beta", f"beta must be >= 0, got {params.beta}")
-    if not params.sigma0 > 0.0:
-        raise ParameterError("sigma0", f"sigma0 must be > 0, got {params.sigma0}")
-    if not params.r >= 0.0:
-        raise ParameterError("r", f"r must be >= 0, got {params.r}")
-    if not params.s0 > 0.0:
-        raise ParameterError("s0", f"s0 must be > 0, got {params.s0}")
+    if not 0.0 <= params.beta < math.inf:
+        raise ParameterError("beta", f"beta must be finite and >= 0, got {params.beta}")
+    if not 0.0 < params.sigma0 < math.inf:
+        raise ParameterError("sigma0", f"sigma0 must be finite and > 0, got {params.sigma0}")
+    if not 0.0 <= params.r < math.inf:
+        raise ParameterError("r", f"r must be finite and >= 0, got {params.r}")
+    if not 0.0 < params.s0 < math.inf:
+        raise ParameterError("s0", f"s0 must be finite and > 0, got {params.s0}")
     return params
-
-
-@dataclass(frozen=True)
-class EffectiveCoefficients:
-    """Coefficients of the transformed-state forward equation.
-
-    a_drift is the linear drift rate A = (2-alpha) r; b_drift and c_diff are
-    the time-dependent constant-drift and diffusion coefficients B(t), C(t);
-    their ratio theta = (1-alpha)/(2-alpha) is time-independent and equals
-    the absorption exponent xi.  variance_clock is the effective quadratic
-    variation v(t) = t + beta^2 t^(2H) of the mixed noise.
-    """
-
-    a_drift: float
-    theta: float
-    xi: float
-    x0: float
-    delta_sq: float
-    alpha: float
-    beta: float
-    hurst: float
-
-    def b_drift(self, t: float) -> float:
-        two_a = 2.0 - self.alpha
-        return self.delta_sq * (1.0 - self.alpha) * two_a * self._rate_factor(t)
-
-    def c_diff(self, t: float) -> float:
-        two_a = 2.0 - self.alpha
-        return self.delta_sq * two_a ** 2 * self._rate_factor(t)
-
-    def variance_clock(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError(f"variance_clock requires t >= 0, got {t}")
-        return t + self.beta ** 2 * t ** (2.0 * self.hurst)
-
-    def _rate_factor(self, t: float) -> float:
-        # d(variance_clock)/dt / 2 = 1/2 + beta^2 H t^(2H-1); finite at 0+
-        # because 2H-1 > 0.
-        if t < 0.0:
-            raise ValueError(f"coefficients require t >= 0, got {t}")
-        return 0.5 + self.beta ** 2 * self.hurst * t ** (2.0 * self.hurst - 1.0)
-
-
-def effective_coefficients(params: ModelParams) -> EffectiveCoefficients:
-    """Derive the transformed-state coefficients from the model parameters."""
-    two_a = 2.0 - params.alpha
-    theta = (1.0 - params.alpha) / two_a
-    return EffectiveCoefficients(
-        a_drift=two_a * params.r,
-        theta=theta,
-        xi=theta,
-        x0=params.s0 ** two_a,
-        delta_sq=params.delta_sq,
-        alpha=params.alpha,
-        beta=params.beta,
-        hurst=params.hurst,
-    )
 
 
 def _regularized_upper_gamma(s, u) -> np.ndarray:
@@ -288,17 +230,10 @@ class FirstPassageLaw:
 
 
 def phi_closed(t: float, params: ModelParams) -> float:
-    """Closed form of phi(t) = integral_0^t C(u) e^(-(2-alpha) r u) du.
+    """Closed form of phi(t) = integral_0^t C(u) e^(-(2-alpha) r u) du, in model units.
 
-    For r > 0 this is the rate-decay term
-
-        delta^2 (2-alpha) / (2r) * (1 - e^(-(2-alpha) r t))
-
-    plus, for beta > 0, the fractional correction
-    delta^2 (2-alpha)^2 beta^2 H Gamma(2H) lambda^(-2H) P(2H, lambda t) with
-    lambda = (2-alpha) r and P the regularized lower incomplete gamma.
-    For r ~ 0 the integral is elementary:
-    delta^2 (2-alpha)^2 (t + beta^2 t^(2H)) / 2.
+    That is s0^(2-alpha) times ``FirstPassageLaw.phi``, whose docstring
+    gives the formula.
     """
     if t < 0.0:
         raise ValueError(f"phi requires t >= 0, got {t}")
@@ -308,48 +243,47 @@ def phi_closed(t: float, params: ModelParams) -> float:
 
 
 def phi_quadrature(t: float, params: ModelParams) -> float:
-    """phi(t) by adaptive quadrature of its defining integrand.
+    """phi(t) in model units by adaptive quadrature of its defining integrand
 
-    Independent oracle for phi_closed; the two agree to ~1e-10 relative.
+        C(u) e^(-lambda u) = sigma0^2 s0^(2-alpha) (2-alpha)^2
+                             (1/2 + beta^2 H u^(2H-1)) e^(-lambda u),
+
+    lambda = (2-alpha) r, taken straight from the parameters: an oracle for
+    phi_closed that shares nothing with FirstPassageLaw.  The two agree to
+    ~1e-10 relative.  Raises QuadratureError, carrying the achieved error
+    estimate, when the integrator cannot reach 1e-10 relative on a panel.
     """
     if t < 0.0:
         raise ValueError(f"phi requires t >= 0, got {t}")
     if t == 0.0:
         return 0.0
-    coeffs = effective_coefficients(params)
-    lam = coeffs.a_drift
+    # Importing scipy.integrate here keeps it (about 25 MB and 0.2 s) out of
+    # every pricing process.
+    from scipy.integrate import quad
+
+    two_a = 2.0 - params.alpha
+    lam = two_a * params.r
+    scale = params.sigma0 ** 2 * params.s0 ** two_a * two_a ** 2
+    beta_sq_h = params.beta ** 2 * params.hurst
+    power = 2.0 * params.hurst - 1.0  # > 0, so u^power is finite at u = 0
 
     def integrand(u: float) -> float:
-        return coeffs.c_diff(u) * math.exp(-lam * u)
+        return scale * (0.5 + beta_sq_h * u ** power) * math.exp(-lam * u)
 
     # split at multiples of 1/lambda: one adaptive pass over [0, t] can miss
     # an e^(-lambda u) boundary layer much thinner than t altogether
     edges = [0.0] + [m / lam for m in (1.0, 4.0, 16.0, 64.0) if lam > 0.0 and m / lam < t] + [t]
-    return math.fsum(adaptive_quad(integrand, lo, hi) for lo, hi in zip(edges, edges[1:]))
-
-
-def adaptive_quad(func, lo: float, hi: float, *,
-                  epsrel: float = 1e-10, epsabs: float = 1e-16) -> float:
-    """Adaptive quadrature with an explicit failure contract.
-
-    Raises QuadratureError (carrying the achieved error estimate) when the
-    integrator reports it could not reach the requested tolerance.
-    """
-    # Only the phi oracle integrates adaptively; importing scipy.integrate
-    # here keeps it (about 25 MB and 0.2 s) out of every pricing process.
-    from scipy.integrate import quad
-
-    out = quad(func, lo, hi, epsabs=epsabs, epsrel=epsrel,
-               limit=200, full_output=True)
-    value, abserr = out[0], out[1]
-    if len(out) > 3:
-        # Warning from the integrator; accept if the estimate still meets
-        # the tolerance (it is conservative about roundoff), else fail.
-        if abserr > max(epsrel * abs(value), 1e-13):
-            raise QuadratureError(
-                f"quadrature failed: {out[3]} (achieved abs. error {abserr:.3e})",
-                value, abserr)
-    return value
+    panels = []
+    for lo, hi in zip(edges, edges[1:]):
+        value, abserr, *info = quad(integrand, lo, hi, epsabs=1e-16, epsrel=1e-10,
+                                    limit=200, full_output=True)
+        # info[1] is the integrator's warning; its error estimate is
+        # conservative about roundoff, so one that meets the tolerance passes
+        if len(info) > 1 and abserr > max(1e-10 * abs(value), 1e-13):
+            raise QuadratureError(f"quadrature failed: {info[1]} "
+                                  f"(achieved abs. error {abserr:.3e})", value, abserr)
+        panels.append(value)
+    return math.fsum(panels)
 
 
 def fpt_density(t: float, params: ModelParams) -> float:

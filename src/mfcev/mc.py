@@ -71,8 +71,9 @@ class McConfig:
             raise ParameterError("n_paths", f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:
             raise ParameterError("n_steps", f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.horizon > 0.0:
-            raise ParameterError("horizon", f"horizon must be > 0, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ParameterError("horizon",
+                                 f"horizon must be finite and > 0, got {self.horizon}")
         if self.n_paths * self.n_steps > MAX_PATH_STEPS:
             raise ParameterError(
                 "n_paths", f"n_paths * n_steps = {self.n_paths * self.n_steps} "

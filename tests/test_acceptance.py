@@ -159,6 +159,7 @@ def test_criterion_6_monotonicity_suite():
            else f"pinned H cells {s_low:.4f} > {s_high:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_mc_validation():
     cases = [(0.0, 0.0, None), (-2.0, 0.5, 0.8), (0.0, 1.0, 0.9)]
     contract = CdsContract(maturity=2.0, recovery=0.5)

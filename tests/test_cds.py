@@ -23,6 +23,8 @@ class TestCdsContract:
         ("recovery", dict(recovery=1.1)),
         ("notional", dict(notional=0.0)),
         ("payments_per_year", dict(payments_per_year=0)),
+        ("maturity", dict(maturity=math.inf)),
+        ("maturity", dict(maturity=math.nan)),
     ])
     def test_constraints(self, field, kwargs):
         base = dict(maturity=5.0, recovery=0.5)
@@ -243,6 +245,8 @@ class TestDefaultCurve:
             default_curve(fig_params(), 0.0, 10)
         with pytest.raises(ParameterError):
             default_curve(fig_params(), 5.0, 1)
+        with pytest.raises(ParameterError):
+            default_curve(fig_params(), math.inf, 10)
 
 
 class TestFailureContract:

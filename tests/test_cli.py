@@ -66,6 +66,11 @@ class TestSpreadCommand:
         assert code == 0, err
         assert float(out) >= 0.0
 
+    def test_negative_precision_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "spread", *SPREAD_FLAGS, "--precision=-1")
+        assert code == 2 and out == ""
+        assert "'precision'" in err
+
     def test_equals_style_flags(self, capsys):
         code, out, _ = run_cli(capsys, "spread", "--alpha=-2", "--beta=1",
                                "--hurst=0.9", "--sigma0=0.2", "--rate=0.05",
@@ -108,6 +113,15 @@ class TestTable1Command:
         raw = target.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
         assert raw.decode().split("\n")[0] == "beta,hurst,alpha,maturity,spread_bps"
+
+    @pytest.mark.parametrize("flag,constraint", [("--maturities=-1", "maturity"),
+                                                 ("--recovery=1.5", "recovery"),
+                                                 ("--freq=0", "payments_per_year")])
+    def test_bad_contract_terms_exit_2(self, capsys, flag, constraint):
+        # the terms are the caller's: a parameter error, not a failed table cell
+        code, out, err = run_cli(capsys, "table1", flag)
+        assert code == 2 and out == ""
+        assert f"'{constraint}'" in err and "numerical failure" not in err
 
     def test_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "table1", "--maturities", "5")
@@ -286,6 +300,23 @@ class TestScenarioFile:
                             "rate = 0.05\nrecovery = 0.5\nmaturity = 1\n")
         code, _, err = run_cli(capsys, "spread", "--scenario", str(scenario))
         assert code == 2 and "alpha" in err
+
+
+@pytest.mark.parametrize("argv,constraint", [
+    (["curve", "--alpha=-inf", "--sigma0=0.2", "--rate=0.05", "--tmax=1", "--points=3",
+      "--beta=0"], "alpha"),
+    (["curve", "--alpha=0", "--sigma0=0.2", "--rate=0.05", "--tmax=1", "--points=3",
+      "--beta=inf", "--hurst=0.8"], "beta"),
+    (["curve", "--alpha=0", "--sigma0=0.2", "--rate=0.05", "--tmax=inf", "--points=3",
+      "--beta=0"], "t_max"),
+    (["spread", *SPREAD_FLAGS[:-2], "--maturity=inf"], "maturity"),
+    (["validate", *TestValidateCommand.VALIDATE_FLAGS[:-6], "--paths=10", "--steps=10",
+      "--seed=1", "--sigma0=nan"], "sigma0"),
+])
+def test_non_finite_parameters_exit_2(capsys, argv, constraint):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"'{constraint}'" in err
 
 
 def test_module_entry_point():

@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
+from mfcev import _mc_fallback
 from mfcev.core import (Q_SPLIT_U, FirstPassageLaw, ModelParams, default_probability,
-                        effective_coefficients, fpt_density, phi_closed,
-                        phi_quadrature, validate)
+                        fpt_density, phi_closed, phi_quadrature, validate)
 from mfcev.errors import ParameterError
+from mfcev.mc import McConfig, simulate_fpt
 
 from reference import (cev_default_probability, default_probability_reference,
                        erfc_reference)
@@ -20,7 +19,6 @@ class TestModelParams:
     def test_benchmark_point_valid(self):
         p = ModelParams(r=0.05, sigma0=0.2, alpha=0.0, beta=0.5, hurst=0.8, s0=50.0)
         assert validate(p) is p
-        assert p.delta_sq == pytest.approx(0.04 * 2500.0)
 
     @pytest.mark.parametrize("field,kwargs", [
         ("alpha", dict(alpha=2.0)),
@@ -32,6 +30,13 @@ class TestModelParams:
         ("sigma0", dict(sigma0=0.0)),
         ("r", dict(r=-0.01)),
         ("s0", dict(s0=0.0)),
+        ("alpha", dict(alpha=-math.inf)),
+        ("alpha", dict(alpha=math.nan)),
+        ("beta", dict(beta=math.inf)),
+        ("sigma0", dict(sigma0=math.inf)),
+        ("r", dict(r=math.inf)),
+        ("r", dict(r=math.nan)),
+        ("s0", dict(s0=math.inf)),
     ])
     def test_each_constraint_is_named(self, field, kwargs):
         base = dict(r=0.05, sigma0=0.2, alpha=0.0, beta=0.5, hurst=0.8, s0=50.0)
@@ -40,40 +45,65 @@ class TestModelParams:
             ModelParams(**base)
         assert err.value.constraint == field
 
-    def test_delta_sq_positive(self, fig_params):
-        assert fig_params(alpha=-2.0).delta_sq > 0.0
-        assert fig_params(alpha=1.5).delta_sq > 0.0
-
 
 class TestEffectiveCoefficients:
-    def test_theta_below_one_and_drift_rate(self, fig_params):
+    """The transformed-state coefficients, as ``simulate_fpt`` steps with them.
+
+    Over a step of the variance clock dv, the Euler step of
+    dx = [A x + B(t)] dt + sqrt(2 C(t) x) dW in s0 = 1 units takes
+    adt = A dt = (2-alpha) r dt, b = B dt and csd = (2-alpha) sigma0 sqrt(dv),
+    with 2 C dt = csd^2 and B / C = theta = (1-alpha)/(2-alpha).
+    """
+
+    CFG = McConfig(n_paths=100, n_steps=50, horizon=2.0, seed=1)
+
+    def steps(self, monkeypatch, params):
+        """(first state, adt, b, csd, t_next) of each step, read at the step kernel."""
+        calls = []
+        step = _mc_fallback.step_paths
+
+        def spy(x, index, default_time, z, adt, b, csd, t_next, work):
+            calls.append((x.copy() if not calls else None, adt, b, csd, t_next))
+            return step(x, index, default_time, z, adt, b, csd, t_next, work)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_mc_fallback, "step_paths", spy)
+            simulate_fpt(params, self.CFG)
+        # every step ran, so some path survived to the horizon
+        assert len(calls) == self.CFG.n_steps
+        return calls
+
+    def test_theta_below_one_and_drift_rate(self, monkeypatch, fig_params):
+        dt = self.CFG.horizon / self.CFG.n_steps
         for alpha in (-2.0, 0.0, 1.0, 1.5):
-            c = effective_coefficients(fig_params(alpha=alpha))
-            assert c.theta < 1.0
-            assert c.xi == c.theta
-            assert c.a_drift == pytest.approx((2.0 - alpha) * 0.05)
+            for _, adt, *_ in self.steps(monkeypatch, fig_params(alpha=alpha)):
+                assert adt == pytest.approx((2.0 - alpha) * 0.05 * dt, rel=1e-15)
 
-    @given(st.floats(min_value=1e-6, max_value=100.0))
-    @settings(deadline=None)
-    def test_drift_diffusion_ratio_is_theta(self, t):
-        p = ModelParams(r=0.05, sigma0=0.2, alpha=-2.0, beta=0.7, hurst=0.85, s0=50.0)
-        c = effective_coefficients(p)
-        assert c.b_drift(t) / c.c_diff(t) == pytest.approx(c.theta, rel=1e-14)
+    def test_drift_diffusion_ratio_is_theta(self, monkeypatch):
+        for alpha in (-2.0, 0.0, 1.5):
+            theta = (1.0 - alpha) / (2.0 - alpha)
+            assert theta < 1.0
+            p = ModelParams(r=0.05, sigma0=0.2, alpha=alpha, beta=0.7, hurst=0.85, s0=50.0)
+            for _, _, b, csd, _ in self.steps(monkeypatch, p):
+                assert b / (0.5 * csd ** 2) == pytest.approx(theta, rel=1e-14)
 
-    def test_ratio_at_alpha_one_is_zero(self, fig_params):
-        c = effective_coefficients(fig_params(alpha=1.0))
-        assert c.b_drift(2.0) == 0.0 and c.theta == 0.0
+    def test_ratio_at_alpha_one_is_zero(self, monkeypatch, fig_params):
+        assert all(b == 0.0 for _, _, b, _, _ in self.steps(monkeypatch, fig_params(alpha=1.0)))
 
-    def test_variance_clock(self, fig_params):
-        c = effective_coefficients(fig_params(beta=0.5, hurst=0.8))
-        assert c.variance_clock(0.0) == 0.0
-        grid = [0.1 * i for i in range(1, 60)]
-        values = [c.variance_clock(t) for t in grid]
-        assert all(b > a for a, b in zip(values, values[1:]))
-        assert c.variance_clock(2.0) == pytest.approx(2.0 + 0.25 * 2.0 ** 1.6, rel=1e-15)
+    def test_variance_clock(self, monkeypatch, fig_params):
+        # csd^2 / ((2-alpha)^2 sigma0^2) is the step's dv; over the grid the
+        # steps add up to v(t) = t + beta^2 t^(2H)
+        calls = self.steps(monkeypatch, fig_params(alpha=-2.0, beta=0.5, hurst=0.8))
+        dv = [csd ** 2 / (4.0 ** 2 * 0.2 ** 2) for _, _, _, csd, _ in calls]
+        assert all(step > 0.0 for step in dv)
+        t = calls[-1][-1]
+        assert t == self.CFG.horizon
+        assert math.fsum(dv) == pytest.approx(t + 0.25 * t ** 1.6, rel=1e-12)
 
-    def test_x0(self, fig_params):
-        assert effective_coefficients(fig_params(alpha=-2.0)).x0 == pytest.approx(50.0 ** 4)
+    def test_x0(self, monkeypatch, fig_params):
+        first_state = self.steps(monkeypatch, fig_params(alpha=-2.0))[0][0]
+        assert first_state.shape == (self.CFG.n_paths,)
+        assert np.all(first_state == 1.0)
 
 
 class TestPhi:

@@ -30,6 +30,8 @@ class TestMcConfig:
         ("seed", dict(seed=-1)),
         ("seed", dict(seed=2 ** 64)),
         ("scheme", dict(scheme="milstein")),
+        ("horizon", dict(horizon=math.inf)),
+        ("horizon", dict(horizon=math.nan)),
     ])
     def test_constraints(self, field, kwargs):
         base = dict(n_paths=100, n_steps=10, horizon=1.0, seed=1)
