@@ -5,23 +5,26 @@ maturity; the premium leg pays the running spread at each payment date the
 reference is still alive (no accrual for a default between payment dates).
 The equilibrium spread equates the two legs at inception.
 
-Every spread goes through one batched kernel, ``_price``.  For a batch of
-(params, contract) cells it evaluates Q and g on Gauss-Legendre panels
-equal in ln t from the onset of default risk to T, in one array pass that
-also covers Q(T) and the premium dates.  The quadrature error of each cell
-is estimated by doubling the panels, and only the cells that miss the
-tolerance are refined.
+Every spread goes through one batched kernel, ``_price_batch``.  For a
+batch of (params, contract) cells it evaluates Q and g on Gauss-Legendre
+panels equal in ln t from the onset of default risk to T, in one array pass
+that also covers Q(T) and the premium dates.  The quadrature error of each
+cell is estimated by doubling the panels, and only the cells that miss the
+tolerance are refined.  ``spread_table`` feeds it BATCH_CELLS cells at a
+time; every other caller prices one cell.  ``ModelParams`` is checked once,
+when it is built, so nothing here checks it again.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FirstPassageLaw, ModelParams, validate
+from .core import FirstPassageLaw, ModelParams
 from .errors import NumericalError, ParameterError, QuadratureError
 
 #: relative agreement required between the two protection-leg evaluations
@@ -64,7 +67,9 @@ class CdsContract:
             raise ParameterError("recovery", f"recovery must lie in [0, 1], got {self.recovery}")
         if not self.notional > 0.0:
             raise ParameterError("notional", f"notional must be > 0, got {self.notional}")
-        if self.payments_per_year != int(self.payments_per_year) or self.payments_per_year < 1:
+        # the comparisons come first, so int() never sees inf or NaN
+        if (not 1 <= self.payments_per_year < math.inf
+                or self.payments_per_year != int(self.payments_per_year)):
             raise ParameterError("payments_per_year",
                                  f"payments_per_year must be a positive integer, "
                                  f"got {self.payments_per_year}")
@@ -146,15 +151,16 @@ def _leg_integrals(law: FirstPassageLaw, t: np.ndarray, w: np.ndarray,
 def _schedule(contracts: list[CdsContract]) -> tuple[np.ndarray, np.ndarray]:
     """Premium dates and accrual fractions, one row per contract.
 
-    Rows are padded to the longest schedule with the maturity and a zero
-    accrual, so padding adds nothing to the annuity.
+    Row j holds ``contracts[j].payment_times()``, padded to the longest
+    schedule with the maturity and a zero accrual, so padding adds nothing
+    to the annuity.
     """
-    times = [c.payment_times() for c in contracts]
-    width = max(len(ts) for ts in times)
-    dates = np.array([ts + [c.maturity] * (width - len(ts)) for c, ts in zip(contracts, times)])
-    accrual = np.array([[1.0 / c.payments_per_year] * len(ts) + [0.0] * (width - len(ts))
-                        for c, ts in zip(contracts, times)])
-    return dates, accrual
+    maturity = np.array([[c.maturity] for c in contracts])
+    freq = np.array([[c.payments_per_year] for c in contracts], dtype=float)
+    count = np.ceil(maturity * freq - 1e-12)
+    i = np.arange(1.0, count.max() + 1.0)
+    paid = i <= count
+    return np.where(paid, i / freq, maturity), np.where(paid, 1.0 / freq, 0.0)
 
 
 def _annuity(law: FirstPassageLaw, dates: np.ndarray, accrual: np.ndarray,
@@ -168,6 +174,18 @@ def _within_tolerance(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
 
 
 def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
+    """Protection leg per unit notional and premium annuity of every cell.
+
+    The leg is the integration-by-parts form
+
+        (1-R) [e^(-rT) Q(T) + r * integral_0^T e^(-rt) Q(t) dt],
+
+    cross-checked against the density form (1-R) integral_0^T e^(-rt) g(t) dt.
+    Returns (leg, annuity, errors); errors[i] is the NumericalError of cell
+    i's leg (QuadratureError when refinement stops at MAX_PANELS, plain
+    NumericalError when the two forms disagree beyond 1e-8 relative), else
+    None.
+    """
     law = FirstPassageLaw.of(params)
     horizon = np.array([[c.maturity] for c in contracts])
     lgd = np.array([1.0 - c.recovery for c in contracts])
@@ -185,12 +203,12 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
     q_horizon = q[:, n1]
     annuity = _annuity(law, dates, accrual, q[:, n1 + 1:])
 
-    err_density = np.abs(density - coarse[0])
-    err_survival = np.abs(survival - coarse[1])
-    finite = np.isfinite(density) & np.isfinite(survival)
+    # the larger of the two integrals' error estimates, per cell
+    err = np.maximum(np.abs(density - coarse[0]), np.abs(survival - coarse[1]))
     # a full-recovery leg is worth 0 whatever the integrals are
-    done = (lgd == 0.0) | ~finite | (_within_tolerance(density, coarse[0])
-                                     & _within_tolerance(survival, coarse[1]))
+    priced = lgd != 0.0
+    done = ~priced | ~(np.isfinite(density) & np.isfinite(survival)) | (
+        _within_tolerance(density, coarse[0]) & _within_tolerance(survival, coarse[1]))
     panels = 2 * BASE_PANELS
     while not done.all() and panels < MAX_PANELS:
         panels *= 2
@@ -198,8 +216,8 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
         sub = law.take(rows)
         t, w = _mesh(onset[rows], horizon[rows], panels)
         new_density, new_survival = _leg_integrals(sub, t, w, *sub.q_and_g(t))
-        err_density[rows] = np.abs(new_density - density[rows])
-        err_survival[rows] = np.abs(new_survival - survival[rows])
+        err[rows] = np.maximum(np.abs(new_density - density[rows]),
+                               np.abs(new_survival - survival[rows]))
         done[rows] = (_within_tolerance(new_density, density[rows])
                       & _within_tolerance(new_survival, survival[rows])
                       | ~(np.isfinite(new_density) & np.isfinite(new_survival)))
@@ -208,51 +226,25 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
     r = law.r[:, 0]
     v_density = lgd * density
     v_parts = lgd * (np.exp(-r * horizon[:, 0]) * q_horizon + r * survival)
-    errors: list[NumericalError | None] = []
-    for i in range(len(params)):
-        if lgd[i] == 0.0:
-            errors.append(None)
-        elif not (math.isfinite(v_density[i]) and math.isfinite(v_parts[i])):
-            errors.append(NumericalError(
-                f"protection leg is not finite: density form {v_density[i]!r}, "
-                f"integration-by-parts form {v_parts[i]!r}"))
-        elif not done[i]:
-            worst = max(err_density[i], err_survival[i])
-            errors.append(QuadratureError(
-                f"quadrature failed: leg integrals did not converge on {panels} panels "
-                f"(achieved abs. error {worst:.3e})", float(density[i]), float(worst)))
-        elif abs(v_density[i] - v_parts[i]) > (
-                _LEG_AGREEMENT_RTOL * max(abs(v_density[i]), abs(v_parts[i])) + 1e-15):
-            errors.append(NumericalError(
-                f"protection-leg evaluations disagree: density form {float(v_density[i])!r}, "
-                f"integration-by-parts form {float(v_parts[i])!r}"))
-        else:
-            errors.append(None)
-    leg = np.where(lgd == 0.0, 0.0, v_parts)
-    return leg, annuity, errors
-
-
-def _price(params: list[ModelParams], contracts: list[CdsContract]):
-    """Protection leg per unit notional and premium annuity of every cell.
-
-    The leg is the integration-by-parts form
-
-        (1-R) [e^(-rT) Q(T) + r * integral_0^T e^(-rt) Q(t) dt],
-
-    cross-checked against the density form (1-R) integral_0^T e^(-rt) g(t) dt.
-    Returns (leg, annuity, errors); errors[i] is the NumericalError of cell
-    i's leg (QuadratureError when refinement stops at MAX_PANELS, plain
-    NumericalError when the two forms disagree beyond 1e-8 relative), else
-    None.
-    """
-    legs, annuities, errors = [], [], []
-    for start in range(0, len(params), BATCH_CELLS):
-        stop = start + BATCH_CELLS
-        leg, annuity, err = _price_batch(params[start:stop], contracts[start:stop])
-        legs.append(leg)
-        annuities.append(annuity)
-        errors += err
-    return np.concatenate(legs), np.concatenate(annuities), errors
+    # triage in this order: leg not finite, unconverged, the two forms disagreeing
+    finite_leg = np.isfinite(v_density) & np.isfinite(v_parts)
+    with np.errstate(invalid="ignore"):  # inf - inf on the cells that are not finite
+        disagree = np.abs(v_density - v_parts) > (
+            _LEG_AGREEMENT_RTOL * np.maximum(np.abs(v_density), np.abs(v_parts)) + 1e-15)
+    errors: list[NumericalError | None] = [None] * len(params)
+    for i in np.flatnonzero(priced & ~finite_leg):
+        errors[i] = NumericalError(
+            f"protection leg is not finite: density form {v_density[i]!r}, "
+            f"integration-by-parts form {v_parts[i]!r}")
+    for i in np.flatnonzero(priced & finite_leg & ~done):
+        errors[i] = QuadratureError(
+            f"quadrature failed: leg integrals did not converge on {panels} panels "
+            f"(achieved abs. error {err[i]:.3e})", float(density[i]), float(err[i]))
+    for i in np.flatnonzero(priced & finite_leg & done & disagree):
+        errors[i] = NumericalError(
+            f"protection-leg evaluations disagree: density form {float(v_density[i])!r}, "
+            f"integration-by-parts form {float(v_parts[i])!r}")
+    return np.where(priced, v_parts, 0.0), annuity, errors
 
 
 def _spread_bps(leg: float, annuity: float, error: NumericalError | None) -> float:
@@ -267,8 +259,7 @@ def _spread_bps(leg: float, annuity: float, error: NumericalError | None) -> flo
 
 def protection_leg(contract: CdsContract, params: ModelParams) -> float:
     """Present value of the protection payment, scaled by the notional."""
-    validate(params)
-    leg, _, errors = _price([params], [contract])
+    leg, _, errors = _price_batch([params], [contract])
     if errors[0] is not None:
         raise errors[0]
     return contract.notional * float(leg[0])
@@ -280,7 +271,6 @@ def premium_annuity(contract: CdsContract, params: ModelParams) -> float:
     Per unit notional and per unit of annual spread, i.e.
     sum_i (1/freq) e^(-r t_i) (1 - Q(t_i)).
     """
-    validate(params)
     law = FirstPassageLaw.of([params])
     dates, accrual = _schedule([contract])
     return float(_annuity(law, dates, accrual, law.q(dates))[0])
@@ -291,8 +281,7 @@ def cds_spread(contract: CdsContract, params: ModelParams) -> float:
 
     10^4 * protection leg / premium annuity, both per unit notional.
     """
-    validate(params)
-    leg, annuity, errors = _price([params], [contract])
+    leg, annuity, errors = _price_batch([params], [contract])
     return _spread_bps(leg[0], annuity[0], errors[0])
 
 
@@ -307,8 +296,8 @@ def spread_table(params_base: ModelParams,
 
     betas_hursts holds (beta, hurst) pairs; hurst may be None only when
     beta == 0 (the classical rows, where it has no effect).  The grid is
-    priced in one batch; failures are captured per cell (spread NaN, error
-    message set) without aborting.
+    priced BATCH_CELLS cells per kernel pass; failures are captured per
+    cell (spread NaN, error message set) without aborting.
     """
     keys = []
     failures: dict[int, str] = {}
@@ -332,7 +321,9 @@ def spread_table(params_base: ModelParams,
                     continue
                 params.append(cell_params)
                 contracts.append(contract)
-    priced = iter(zip(*_price(params, contracts)) if params else ())
+    priced = itertools.chain.from_iterable(
+        zip(*_price_batch(params[i:i + BATCH_CELLS], contracts[i:i + BATCH_CELLS]))
+        for i in range(0, len(params), BATCH_CELLS))
     cells: list[SpreadCell] = []
     for i, key in enumerate(keys):
         if i in failures:
@@ -347,7 +338,6 @@ def spread_table(params_base: ModelParams,
 
 def default_curve(params: ModelParams, t_max: float, n_points: int) -> list[CurvePoint]:
     """Default probability sampled on a uniform grid over [0, t_max]."""
-    validate(params)
     if not 0.0 < t_max < math.inf:
         raise ParameterError("t_max", f"t_max must be finite and > 0, got {t_max}")
     if n_points < 2:

@@ -172,17 +172,19 @@ class FirstPassageLaw:
     def of(cls, params: Sequence[ModelParams]) -> "FirstPassageLaw":
         r = _column([p.r for p in params])
         two_a = 2.0 - _column([p.alpha for p in params])
-        beta_sq = _column([p.beta for p in params]) ** 2
         hurst = _column([p.hurst for p in params])
         zero_rate = r < R_ZERO_TOL
         lam = np.where(zero_rate, 0.0, two_a * r)
-        # beta^2 H Gamma(2H) lambda^(-2H); below R_ZERO_TOL, beta^2 / 2 (of t^(2H))
         log_lam = np.log(np.where(zero_rate, 1.0, lam))
-        frac_coef = np.where(zero_rate, 0.5 * beta_sq,
-                             beta_sq * hurst * np.exp(gammaln(2.0 * hurst) - 2.0 * hurst * log_lam))
+        # a finite parameter may square to inf; phi and Q then take their limits
+        with np.errstate(over="ignore"):
+            k = _column([p.sigma0 for p in params]) ** 2 * two_a ** 2
+            beta_sq = _column([p.beta for p in params]) ** 2
+            # beta^2 H Gamma(2H) lambda^(-2H); below R_ZERO_TOL, beta^2 / 2 (of t^(2H))
+            frac_coef = np.where(zero_rate, 0.5 * beta_sq, beta_sq * hurst
+                                 * np.exp(gammaln(2.0 * hurst) - 2.0 * hurst * log_lam))
         s = 1.0 / two_a
-        return cls(r=r, lam=lam, zero_rate=zero_rate,
-                   k=_column([p.sigma0 for p in params]) ** 2 * two_a ** 2,
+        return cls(r=r, lam=lam, zero_rate=zero_rate, k=k,
                    beta_sq_h=beta_sq * hurst, two_h=2.0 * hurst, frac_coef=frac_coef,
                    s=s, log_gamma_s=gammaln(s))
 
@@ -203,9 +205,10 @@ class FirstPassageLaw:
         return self.k * (decay + self.frac_coef * frac)
 
     def _inverse_phi(self, t) -> np.ndarray:
-        # x0 / phi with x0 = 1; phi = 0 (t = 0) gives +inf, for which Q = 0
-        with np.errstate(divide="ignore"):
-            return 1.0 / self.phi(t)
+        # x0 / phi with x0 = 1.  At t = 0 it is +inf, for which Q = 0, also
+        # where an overflowed k or frac_coef makes phi(0) = inf * 0 = NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(t == 0.0, np.inf, 1.0 / self.phi(t))
 
     def q(self, t) -> np.ndarray:
         """Default probability Q(t) = Gamma(s, 1/phi(t)) / Gamma(s), s = 1 - xi."""
@@ -310,6 +313,4 @@ def default_probability(t: float, params: ModelParams) -> float:
     """
     if t < 0.0:
         raise ValueError(f"default_probability requires t >= 0, got {t}")
-    if t == 0.0:
-        return 0.0
     return FirstPassageLaw.of([params]).q(t).item()

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mc_fallback
-from .core import ModelParams, validate
+from .core import ModelParams
 from .errors import NumericalError, ParameterError
 
 #: hard cap on n_paths * n_steps per simulation
@@ -102,7 +102,6 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
     path was absorbed (the right endpoint of the crossing step), or NaN for
     paths that survive to the horizon.
     """
-    validate(params)
     two_a = 2.0 - params.alpha
 
     n = cfg.n_paths

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mfcev import cds
@@ -25,6 +26,8 @@ class TestCdsContract:
         ("payments_per_year", dict(payments_per_year=0)),
         ("maturity", dict(maturity=math.inf)),
         ("maturity", dict(maturity=math.nan)),
+        ("payments_per_year", dict(payments_per_year=math.inf)),
+        ("payments_per_year", dict(payments_per_year=math.nan)),
     ])
     def test_constraints(self, field, kwargs):
         base = dict(maturity=5.0, recovery=0.5)
@@ -41,6 +44,19 @@ class TestCdsContract:
         assert CdsContract(maturity=1.25, recovery=0.5).payment_times() == [0.5, 1.0, 1.5]
         assert CdsContract(maturity=2.0, recovery=0.5,
                            payments_per_year=4).payment_times()[:2] == [0.25, 0.5]
+
+    def test_array_schedule_matches_payment_times(self):
+        # the kernel's schedule is built with numpy, the MC's from
+        # payment_times(); one batch of every pairing pins them together
+        contracts = [CdsContract(maturity=m, recovery=0.5, payments_per_year=f)
+                     for m in (1e-4, 0.3, 1.0, 1.25, 2.0, 10.0, 100.0) for f in (1, 2, 4, 12)]
+        dates, accrual = cds._schedule(contracts)
+        assert dates.shape == accrual.shape == (len(contracts), 1200)
+        for c, row_dates, row_accrual in zip(contracts, dates, accrual):
+            times = c.payment_times()
+            pad = len(row_dates) - len(times)
+            assert row_dates.tolist() == times + [c.maturity] * pad
+            assert row_accrual.tolist() == [1.0 / c.payments_per_year] * len(times) + [0.0] * pad
 
 
 class TestProtectionLeg:
@@ -278,6 +294,33 @@ class TestFailureContract:
         with pytest.raises(NumericalError, match="disagree") as err:
             cds_spread(CdsContract(maturity=5.0, recovery=0.5), fig_params())
         assert not isinstance(err.value, QuadratureError)
+
+    def test_non_finite_leg_raises(self, fig_params, monkeypatch):
+        exact = FirstPassageLaw.q_and_g
+
+        def infinite_density(self, t):
+            q, g = exact(self, t)
+            return q, np.full_like(g, np.inf)
+
+        monkeypatch.setattr(FirstPassageLaw, "q_and_g", infinite_density)
+        with pytest.raises(NumericalError, match="not finite") as err:
+            cds_spread(CdsContract(maturity=5.0, recovery=0.5), fig_params())
+        assert not isinstance(err.value, QuadratureError)
+
+    def test_unconverged_outranks_disagreement_in_one_batch(self, fig_params, monkeypatch):
+        # both cells' legs disagree; the one that also misses the panel cap
+        # reports the quadrature failure
+        exact = FirstPassageLaw.q_and_g
+
+        def biased(self, t):
+            q, g = exact(self, t)
+            return q, g * (1.0 + 1e-6)
+
+        monkeypatch.setattr(FirstPassageLaw, "q_and_g", biased)
+        monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)
+        cells = spread_table(fig_params(), [-2.0], [(1.0, 0.9)], [5.0, self.HARD_MATURITY])
+        assert cells[0].error.startswith("protection-leg evaluations disagree")
+        assert cells[1].error.startswith("quadrature failed")
 
     def test_table_captures_numerical_failure(self, fig_params, monkeypatch):
         monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)

@@ -185,6 +185,25 @@ class TestCurveCommand:
                                "--rate", "0.05", "--points", "5", "--beta", "0")
         assert code == 2 and "tmax" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--sigma0=1e300", "--beta=0"],
+        ["--sigma0=0.2", "--beta=1e300", "--hurst=0.8"],
+    ], ids=["k-overflows", "beta-squared-overflows"])
+    def test_overflowing_coefficient_keeps_q0_zero(self, flags):
+        # sigma0^2 (2-alpha)^2 or beta^2 overflows to inf, and inf * phi's
+        # zero at t = 0 must not make Q(0) NaN.  A subprocess, so that numpy
+        # warnings would reach its stderr.
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfcev", "curve", "--alpha=0", *flags,
+             "--rate=0.05", "--tmax=1", "--points=3"],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"})
+        assert proc.returncode == 0
+        assert proc.stdout.split("\n")[1] == "0,0"
+        assert "nan" not in proc.stdout
+        assert proc.stderr == ""
+
 
 class TestValidateCommand:
     VALIDATE_FLAGS = ["--alpha", "0", "--beta", "0", "--hurst", "0.8",
