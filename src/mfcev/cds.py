@@ -5,20 +5,20 @@ maturity; the premium leg pays the running spread at each payment date the
 reference is still alive (no accrual for a default between payment dates).
 The equilibrium spread equates the two legs at inception.
 
-Every spread goes through one batched kernel, ``_price_batch``.  For a
-batch of (params, contract) cells it evaluates Q and g on Gauss-Legendre
-panels equal in ln t from the onset of default risk to T, in one array pass
-that also covers Q(T) and the premium dates.  The quadrature error of each
-cell is estimated by doubling the panels, and only the cells that miss the
-tolerance are refined.  ``spread_table`` feeds it BATCH_CELLS cells at a
-time; every other caller prices one cell.  ``ModelParams`` is checked once,
-when it is built, so nothing here checks it again.
+Every spread and annuity goes through one batched kernel, ``_price_batch``.
+For a batch of (params, contract) cells it evaluates Q and g on
+Gauss-Legendre panels equal in ln t from ``FirstPassageLaw.onset`` to T, in
+one array pass that also covers Q(T) and the premium dates (``_schedule``).
+One convergence test, applied at every doubling of the panels, estimates
+each cell's quadrature error; only the cells that miss it are refined.
+``spread_table`` feeds the kernel BATCH_CELLS cells at a time; every other
+caller prices one cell.  ``ModelParams`` checks itself when it is built.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,9 +41,6 @@ GL_ORDER = 16
 BASE_PANELS = 4
 #: refinement stops here; a cell still above tolerance raises QuadratureError
 MAX_PANELS = 1024
-#: the leg integrals start where x0 / phi(t) >= ONSET_U, below which Q and
-#: g are under e^(-ONSET_U) and contribute nothing a double can hold
-ONSET_U = 700.0
 #: cells per array pass, which bounds the memory a long grid takes
 BATCH_CELLS = 256
 
@@ -75,10 +72,8 @@ class CdsContract:
                                  f"got {self.payments_per_year}")
 
     def payment_times(self) -> list[float]:
-        """Premium dates i/payments_per_year, i = 1..ceil(maturity * payments_per_year)."""
-        freq = self.payments_per_year
-        n = math.ceil(self.maturity * freq - 1e-12)
-        return [i / freq for i in range(1, n + 1)]
+        """Premium dates 1/freq, 2/freq, ..., up to the first at or past the maturity."""
+        return _schedule([self])[0][0].tolist()
 
 
 @dataclass(frozen=True)
@@ -108,20 +103,6 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _onset(law: FirstPassageLaw, horizon: np.ndarray) -> np.ndarray:
-    """Per row, a time up to which Q and g stay below about e^(-ONSET_U), capped at T.
-
-    As e^(-lambda u) <= 1, phi(t) <= k t / 2 + k beta^2 t^(2H) / 2, and at
-    the returned time each of the two terms is at most 1 / (2 ONSET_U); so
-    up to there x0 / phi >= ONSET_U.
-    """
-    bound = 1.0 / (law.k * ONSET_U)
-    beta_sq = law.beta_sq_h / (0.5 * law.two_h)
-    with np.errstate(divide="ignore"):
-        fractional = (bound / beta_sq) ** (1.0 / law.two_h)
-    return np.minimum(horizon, np.minimum(bound, fractional))
-
-
 def _mesh(onset: np.ndarray, horizon: np.ndarray,
           panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of each row's mesh, (rows, panels * GL_ORDER).
@@ -142,16 +123,17 @@ def _mesh(onset: np.ndarray, horizon: np.ndarray,
 
 
 def _leg_integrals(law: FirstPassageLaw, t: np.ndarray, w: np.ndarray,
-                   q: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the quadratures of e^(-rt) g(t) and e^(-rt) Q(t) over [0, T]."""
+                   q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The quadratures of e^(-rt) g(t) (row 0) and e^(-rt) Q(t) (row 1) over [0, T], per cell."""
     wd = w * np.exp(-law.r * t)
-    return (wd * g).sum(axis=1), (wd * q).sum(axis=1)
+    return np.array([(wd * g).sum(axis=1), (wd * q).sum(axis=1)])
 
 
 def _schedule(contracts: list[CdsContract]) -> tuple[np.ndarray, np.ndarray]:
     """Premium dates and accrual fractions, one row per contract.
 
-    Row j holds ``contracts[j].payment_times()``, padded to the longest
+    Row j holds contract j's dates i/freq, i = 1, 2, ..., up to the first
+    at or past its maturity (less 1e-12 of slack), padded to the longest
     schedule with the maturity and a zero accrual, so padding adds nothing
     to the annuity.
     """
@@ -163,16 +145,6 @@ def _schedule(contracts: list[CdsContract]) -> tuple[np.ndarray, np.ndarray]:
     return np.where(paid, i / freq, maturity), np.where(paid, 1.0 / freq, 0.0)
 
 
-def _annuity(law: FirstPassageLaw, dates: np.ndarray, accrual: np.ndarray,
-             q: np.ndarray) -> np.ndarray:
-    """sum_i accrual_i e^(-r t_i) (1 - Q(t_i)) per row."""
-    return (accrual * np.exp(-law.r * dates) * (1.0 - q)).sum(axis=1)
-
-
-def _within_tolerance(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    return np.abs(fine - coarse) <= np.maximum(EPSREL * np.abs(fine), EPSABS)
-
-
 def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
     """Protection leg per unit notional and premium annuity of every cell.
 
@@ -181,15 +153,16 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
         (1-R) [e^(-rT) Q(T) + r * integral_0^T e^(-rt) Q(t) dt],
 
     cross-checked against the density form (1-R) integral_0^T e^(-rt) g(t) dt.
-    Returns (leg, annuity, errors); errors[i] is the NumericalError of cell
-    i's leg (QuadratureError when refinement stops at MAX_PANELS, plain
-    NumericalError when the two forms disagree beyond 1e-8 relative), else
-    None.
+    The annuity is sum_i accrual_i e^(-r t_i) (1 - Q(t_i)) over the premium
+    dates.  Returns (leg, annuity, errors); errors[i] is the NumericalError
+    of cell i's leg (QuadratureError when refinement stops at MAX_PANELS,
+    plain NumericalError when the two forms disagree beyond 1e-8 relative),
+    else None.
     """
     law = FirstPassageLaw.of(params)
     horizon = np.array([[c.maturity] for c in contracts])
     lgd = np.array([1.0 - c.recovery for c in contracts])
-    onset = _onset(law, horizon)
+    onset = law.onset(horizon)
     dates, accrual = _schedule(contracts)
 
     # one pass: both starting meshes, Q(T) and the premium dates
@@ -198,31 +171,37 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
     q, g = law.q_and_g(np.hstack([coarse_t, fine_t, horizon, dates]))
     n0 = coarse_t.shape[1]
     n1 = n0 + fine_t.shape[1]
-    coarse = _leg_integrals(law, coarse_t, coarse_w, q[:, :n0], g[:, :n0])
-    density, survival = _leg_integrals(law, fine_t, fine_w, q[:, n0:n1], g[:, n0:n1])
+    legs = _leg_integrals(law, coarse_t, coarse_w, q[:, :n0], g[:, :n0])
+    new = _leg_integrals(law, fine_t, fine_w, q[:, n0:n1], g[:, n0:n1])
     q_horizon = q[:, n1]
-    annuity = _annuity(law, dates, accrual, q[:, n1 + 1:])
+    # summed exactly, so that neither padding nor the batch moves a bit
+    annuity = np.array([math.fsum(row) for row in
+                        (accrual * np.exp(-law.r * dates) * (1.0 - q[:, n1 + 1:])).tolist()])
 
-    # the larger of the two integrals' error estimates, per cell
-    err = np.maximum(np.abs(density - coarse[0]), np.abs(survival - coarse[1]))
-    # a full-recovery leg is worth 0 whatever the integrals are
+    # each doubling of the panels: per cell, the larger of the two integrals'
+    # error estimates, and done once both meet the tolerance or one is not
+    # finite; a full-recovery leg is worth 0 whatever the integrals are
     priced = lgd != 0.0
-    done = ~priced | ~(np.isfinite(density) & np.isfinite(survival)) | (
-        _within_tolerance(density, coarse[0]) & _within_tolerance(survival, coarse[1]))
+    err = np.zeros(len(contracts))
+    done = ~priced
+    rows = slice(None)
     panels = 2 * BASE_PANELS
-    while not done.all() and panels < MAX_PANELS:
-        panels *= 2
+    while True:
+        with np.errstate(invalid="ignore"):  # inf - inf on legs that are not finite
+            diff = np.abs(new - legs[:, rows])
+        err[rows] = diff.max(axis=0)
+        done[rows] |= ((diff <= np.maximum(EPSREL * np.abs(new), EPSABS)).all(axis=0)
+                       | ~np.isfinite(new).all(axis=0))
+        legs[:, rows] = new
         rows = np.flatnonzero(~done)
+        if rows.size == 0 or panels >= MAX_PANELS:
+            break
+        panels *= 2
         sub = law.take(rows)
         t, w = _mesh(onset[rows], horizon[rows], panels)
-        new_density, new_survival = _leg_integrals(sub, t, w, *sub.q_and_g(t))
-        err[rows] = np.maximum(np.abs(new_density - density[rows]),
-                               np.abs(new_survival - survival[rows]))
-        done[rows] = (_within_tolerance(new_density, density[rows])
-                      & _within_tolerance(new_survival, survival[rows])
-                      | ~(np.isfinite(new_density) & np.isfinite(new_survival)))
-        density[rows], survival[rows] = new_density, new_survival
+        new = _leg_integrals(sub, t, w, *sub.q_and_g(t))
 
+    density, survival = legs
     r = law.r[:, 0]
     v_density = lgd * density
     v_parts = lgd * (np.exp(-r * horizon[:, 0]) * q_horizon + r * survival)
@@ -234,8 +213,8 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
     errors: list[NumericalError | None] = [None] * len(params)
     for i in np.flatnonzero(priced & ~finite_leg):
         errors[i] = NumericalError(
-            f"protection leg is not finite: density form {v_density[i]!r}, "
-            f"integration-by-parts form {v_parts[i]!r}")
+            f"protection leg is not finite: density form {float(v_density[i])!r}, "
+            f"integration-by-parts form {float(v_parts[i])!r}")
     for i in np.flatnonzero(priced & finite_leg & ~done):
         errors[i] = QuadratureError(
             f"quadrature failed: leg integrals did not converge on {panels} panels "
@@ -266,14 +245,9 @@ def protection_leg(contract: CdsContract, params: ModelParams) -> float:
 
 
 def premium_annuity(contract: CdsContract, params: ModelParams) -> float:
-    """Risky annuity: sum of accrual * discount * survival over payment dates.
-
-    Per unit notional and per unit of annual spread, i.e.
-    sum_i (1/freq) e^(-r t_i) (1 - Q(t_i)).
-    """
-    law = FirstPassageLaw.of([params])
-    dates, accrual = _schedule([contract])
-    return float(_annuity(law, dates, accrual, law.q(dates))[0])
+    """Risky annuity sum_i (1/freq) e^(-r t_i) (1 - Q(t_i)) over the payment
+    dates, per unit notional and per unit of annual spread."""
+    return float(_price_batch([params], [contract])[1][0])
 
 
 def cds_spread(contract: CdsContract, params: ModelParams) -> float:
@@ -299,40 +273,32 @@ def spread_table(params_base: ModelParams,
     priced BATCH_CELLS cells per kernel pass; failures are captured per
     cell (spread NaN, error message set) without aborting.
     """
-    keys = []
-    failures: dict[int, str] = {}
-    params: list[ModelParams] = []
-    contracts: list[CdsContract] = []
+    cells: list[SpreadCell] = []
+    todo = []  # (grid position, params, contract) of each cell whose inputs are valid
     for beta, hurst in betas_hursts:
         if hurst is None and beta != 0.0:
             raise ParameterError("hurst", "hurst may be omitted only when beta = 0")
         for maturity in maturities:
             for alpha in alphas:
-                keys.append((alpha, beta, hurst, maturity))
+                cell = SpreadCell(alpha, beta, hurst, maturity, math.nan)
                 try:
-                    cell_params = ModelParams(r=params_base.r, sigma0=params_base.sigma0,
-                                              alpha=alpha, beta=beta,
-                                              hurst=hurst if hurst is not None else 0.8,
-                                              s0=params_base.s0)
-                    contract = CdsContract(maturity=maturity, recovery=recovery,
-                                           payments_per_year=payments_per_year)
+                    todo.append((len(cells),
+                                 ModelParams(r=params_base.r, sigma0=params_base.sigma0,
+                                             alpha=alpha, beta=beta,
+                                             hurst=hurst if hurst is not None else 0.8,
+                                             s0=params_base.s0),
+                                 CdsContract(maturity=maturity, recovery=recovery,
+                                             payments_per_year=payments_per_year)))
                 except ValueError as exc:
-                    failures[len(keys) - 1] = str(exc)
-                    continue
-                params.append(cell_params)
-                contracts.append(contract)
-    priced = itertools.chain.from_iterable(
-        zip(*_price_batch(params[i:i + BATCH_CELLS], contracts[i:i + BATCH_CELLS]))
-        for i in range(0, len(params), BATCH_CELLS))
-    cells: list[SpreadCell] = []
-    for i, key in enumerate(keys):
-        if i in failures:
-            cells.append(SpreadCell(*key, float("nan"), error=failures[i]))
-            continue
-        try:
-            cells.append(SpreadCell(*key, _spread_bps(*next(priced))))
-        except NumericalError as exc:
-            cells.append(SpreadCell(*key, float("nan"), error=str(exc)))
+                    cell = dataclasses.replace(cell, error=str(exc))
+                cells.append(cell)
+    for start in range(0, len(todo), BATCH_CELLS):
+        at, params, contracts = zip(*todo[start:start + BATCH_CELLS])
+        for i, *priced in zip(at, *_price_batch(params, contracts)):
+            try:
+                cells[i] = dataclasses.replace(cells[i], spread_bps=_spread_bps(*priced))
+            except NumericalError as exc:
+                cells[i] = dataclasses.replace(cells[i], error=str(exc))
     return cells
 
 

@@ -250,7 +250,9 @@ def cmd_validate(merged: dict) -> int:
     cfg = mc.McConfig(n_paths=merged["paths"], n_steps=merged["steps"],
                       horizon=merged["maturity"], seed=merged["seed"])
 
+    # the analytic side first, so inputs beyond the double range fail before simulating
     analytic_q = default_probability(merged["maturity"], params)
+    analytic_spread = cds_spread(contract, params)
     # one simulation to the maturity feeds both estimators
     default_time = mc.simulate_fpt(params, cfg)
     mc_q = mc.default_probability_estimate(default_time)
@@ -261,7 +263,6 @@ def cmd_validate(merged: dict) -> int:
     z = ((mc_q.estimate - analytic_q) / std_error
          if std_error > 0.0 else 0.0 if mc_q.estimate == analytic_q else float("inf"))
 
-    analytic_spread = cds_spread(contract, params)
     mc_spread = mc.spread_estimate(default_time, params, contract)
 
     p = merged["precision"]

@@ -17,13 +17,8 @@ with xi = (1-alpha)/(2-alpha) and phi the discounted running integral of
 C.  This module evaluates phi (closed form and quadrature oracle), the
 first-passage density g = dQ/dt, and Q itself.  The closed forms are
 array-native (``FirstPassageLaw``); the scalar functions are thin views of
-it.
-
-Q has one evaluator, used for Q alone and for Q with g: the regularized
-upper incomplete gamma from ``scipy.special.gammaincc`` where
-u = x0/phi >= 1.1, and 1 - ``gammainc`` below, where ``gammaincc`` is
-about ten times slower and most of the pricing kernel's time used to go.
-The two agree to 1e-11 relative over the whole accepted alpha range.
+it.  Q has one evaluator, ``_regularized_upper_gamma``, for Q alone and
+for Q with g; its docstring gives its split and its accuracy.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .errors import ParameterError, QuadratureError
+from .errors import NumericalError, ParameterError, QuadratureError
 
 #: below this rate the r -> 0 analytic branch of phi is used
 R_ZERO_TOL = 1e-12
@@ -47,6 +42,9 @@ Q_SPLIT_U = 1.1
 #: log-density floor; anything below exp(LOG_FLOOR) is reported as exact 0
 LOG_FLOOR = -700.0
 
+#: the CDS leg integrals start where x0/phi >= ONSET_U: Q, g < e^(-ONSET_U) before
+ONSET_U = 700.0
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -54,7 +52,8 @@ class ModelParams:
 
     r       risk-free rate (per year, >= 0)
     sigma0  at-the-money volatility scale (per sqrt(year), > 0)
-    alpha   elasticity exponent (< 2 so that zero is attainable)
+    alpha   elasticity exponent, in [-1000, 2): below 2 so that zero is
+            attainable, and down to -1000, where Q's accuracy is stated
     beta    fractional mixing weight (>= 0; 0 recovers the classical CEV)
     hurst   Hurst exponent of the fractional component, in (3/4, 1)
     s0      initial price (> 0)
@@ -81,8 +80,8 @@ def validate(params: ModelParams) -> ModelParams:
     Each check is a comparison that NaN fails, bounded strictly at the
     infinite end, so every parameter must also be finite.
     """
-    if not -math.inf < params.alpha < 2.0:
-        raise ParameterError("alpha", f"alpha must be finite and < 2, got {params.alpha}")
+    if not -1000.0 <= params.alpha < 2.0:
+        raise ParameterError("alpha", f"alpha must lie in [-1000, 2), got {params.alpha}")
     if not 0.75 < params.hurst < 1.0:
         raise ParameterError("hurst", f"hurst must lie in (3/4, 1), got {params.hurst}")
     if not 0.0 <= params.beta < math.inf:
@@ -150,12 +149,15 @@ class FirstPassageLaw:
     the second term being beta^2 H integral_0^t u^(2H-1) e^(-lambda u) du.
     Below R_ZERO_TOL the rate drops out: phi(t) = k (t + beta^2 t^(2H)) / 2.
 
-    ``q`` and ``q_and_g`` share one Q evaluator, so they give the same Q
-    bit for bit.  It splits at u = 1/phi = Q_SPLIT_U = 1.1: ``gammaincc``
-    at and above, 1 - ``gammainc`` below, where ``gammaincc`` is about ten
-    times slower.  Q >= Q(s, 1.1) below the split, so the complement is
-    within 1e-11 relative of ``gammaincc`` for every s = 1/(2-alpha) in
-    [1/1002, 1000], and within 1e-13 for s >= 0.1.
+    ``q`` and ``q_and_g`` share one Q evaluator, ``_regularized_upper_gamma``,
+    so they give the same Q bit for bit.
+
+    A finite parameter may overflow k, beta^2 or lambda.  Where phi(t > 0)
+    is then inf, u = 0 and Q = 1, exact in double only for s > 0.053
+    (alpha > -16.9), below which u^s still matters for u < 1/DBL_MAX.  Q
+    and g are NaN there and where phi(t > 0) is NaN: ``q`` raises
+    NumericalError, and ``q_and_g`` returns the NaNs for the CDS kernel to
+    report per cell.
     """
 
     r: np.ndarray
@@ -174,10 +176,11 @@ class FirstPassageLaw:
         two_a = 2.0 - _column([p.alpha for p in params])
         hurst = _column([p.hurst for p in params])
         zero_rate = r < R_ZERO_TOL
-        lam = np.where(zero_rate, 0.0, two_a * r)
-        log_lam = np.log(np.where(zero_rate, 1.0, lam))
-        # a finite parameter may square to inf; phi and Q then take their limits
-        with np.errstate(over="ignore"):
+        # a finite parameter may overflow lambda, k or beta^2; phi and Q then
+        # take their limits, or turn NaN (see the class docstring)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = np.where(zero_rate, 0.0, two_a * r)
+            log_lam = np.log(np.where(zero_rate, 1.0, lam))
             k = _column([p.sigma0 for p in params]) ** 2 * two_a ** 2
             beta_sq = _column([p.beta for p in params]) ** 2
             # beta^2 H Gamma(2H) lambda^(-2H); below R_ZERO_TOL, beta^2 / 2 (of t^(2H))
@@ -191,6 +194,20 @@ class FirstPassageLaw:
     def take(self, rows) -> "FirstPassageLaw":
         """The law of the selected rows."""
         return FirstPassageLaw(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def onset(self, horizon) -> np.ndarray:
+        """Per row, a time up to which Q and g stay below about e^(-ONSET_U), capped at horizon.
+
+        As e^(-lambda u) <= 1, phi(t) <= k t / 2 + k beta^2 t^(2H) / 2, and at
+        the returned time each of the two terms is at most 1 / (2 ONSET_U); so
+        up to there 1 / phi >= ONSET_U.  It is at least the smallest positive
+        double, so its logarithm is finite also where k or beta^2 overflowed.
+        """
+        beta_sq = self.beta_sq_h / (0.5 * self.two_h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = 1.0 / (self.k * ONSET_U)
+            fractional = (bound / beta_sq) ** (1.0 / self.two_h)
+        return np.maximum(np.minimum(horizon, np.fmin(bound, fractional)), 5e-324)
 
     def phi(self, t) -> np.ndarray:
         lam = self.lam
@@ -206,13 +223,22 @@ class FirstPassageLaw:
 
     def _inverse_phi(self, t) -> np.ndarray:
         # x0 / phi with x0 = 1.  At t = 0 it is +inf, for which Q = 0, also
-        # where an overflowed k or frac_coef makes phi(0) = inf * 0 = NaN
+        # where an overflowed k or frac_coef makes phi(0) = inf * 0 = NaN.
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(t == 0.0, np.inf, 1.0 / self.phi(t))
+            u = np.where(t == 0.0, np.inf, 1.0 / self.phi(t))
+        # u = 0 (phi = inf) is NaN where Q = 1 would not be exact
+        inexact_one = self.s <= 0.053
+        if inexact_one.any():
+            u[inexact_one & (u == 0.0)] = np.nan
+        return u
 
     def q(self, t) -> np.ndarray:
         """Default probability Q(t) = Gamma(s, 1/phi(t)) / Gamma(s), s = 1 - xi."""
-        return _regularized_upper_gamma(self.s, self._inverse_phi(t))
+        q = _regularized_upper_gamma(self.s, self._inverse_phi(t))
+        if np.isnan(q).any():
+            raise NumericalError("default probability is undefined in double precision: "
+                                 "phi(t) left the double range")
+        return q
 
     def q_and_g(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Q(t) and the first-passage density g(t) = dQ/dt, for t > 0.
@@ -224,11 +250,12 @@ class FirstPassageLaw:
         q = _regularized_upper_gamma(self.s, u)
         # clamping u keeps u^(1+s) e^(-u) finite (and 0) where phi underflowed
         u = np.minimum(u, 1e300)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_g = (np.log(self.k * (0.5 + self.beta_sq_h * t ** (self.two_h - 1.0)))
                      - self.lam * t + (1.0 + self.s) * np.log(u) - u - self.log_gamma_s)
         g = np.exp(log_g)
-        g[log_g < LOG_FLOOR] = 0.0
+        # g -> 0 as phi -> inf, also where an overflowed C makes log g = inf - inf
+        g[(log_g < LOG_FLOOR) | (u == 0.0)] = 0.0
         return q, g
 
 

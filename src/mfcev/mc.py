@@ -100,20 +100,26 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
 
     Returns an array of length n_paths holding the grid time at which each
     path was absorbed (the right endpoint of the crossing step), or NaN for
-    paths that survive to the horizon.
+    paths that survive to the horizon.  Raises NumericalError when a step
+    coefficient leaves the double range.
     """
     two_a = 2.0 - params.alpha
+    # numpy scalars square to inf where Python floats raise OverflowError
+    beta, sigma0 = np.float64(params.beta), np.float64(params.sigma0)
 
     n = cfg.n_paths
     dt = cfg.horizon / cfg.n_steps
     tgrid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-    dv = np.diff(tgrid + params.beta ** 2 * tgrid ** (2.0 * params.hurst))
-
-    # Units with s0 = 1: x0 = 1 and delta^2 = sigma0^2.
-    adt = two_a * params.r * dt
-    # B(t) dt and 2 C(t) dt integrate exactly to these multiples of dv.
-    b_steps = 0.5 * params.sigma0 ** 2 * (1.0 - params.alpha) * two_a * dv
-    csd_steps = two_a * params.sigma0 * np.sqrt(dv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = np.diff(tgrid + beta ** 2 * tgrid ** (2.0 * params.hurst))
+        # Units with s0 = 1: x0 = 1 and delta^2 = sigma0^2.
+        adt = two_a * params.r * dt
+        # B(t) dt and 2 C(t) dt integrate exactly to these multiples of dv.
+        b_steps = 0.5 * sigma0 ** 2 * (1.0 - params.alpha) * two_a * dv
+        csd_steps = two_a * sigma0 * np.sqrt(dv)
+    if not (math.isfinite(adt) and np.isfinite(b_steps).all() and np.isfinite(csd_steps).all()):
+        raise NumericalError("Monte-Carlo step coefficients are not finite: A dt, B dt or "
+                             "the diffusion scale (2-alpha) sigma0 sqrt(dv) left the double range")
 
     x = np.ones(n)
     index = np.arange(n)

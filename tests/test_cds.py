@@ -46,8 +46,9 @@ class TestCdsContract:
                            payments_per_year=4).payment_times()[:2] == [0.25, 0.5]
 
     def test_array_schedule_matches_payment_times(self):
-        # the kernel's schedule is built with numpy, the MC's from
-        # payment_times(); one batch of every pairing pins them together
+        # payment_times() reads row 0 of a one-contract schedule; in one
+        # batch of every pairing, each row must be that contract's dates,
+        # padded with the maturity at zero accrual
         contracts = [CdsContract(maturity=m, recovery=0.5, payments_per_year=f)
                      for m in (1e-4, 0.3, 1.0, 1.25, 2.0, 10.0, 100.0) for f in (1, 2, 4, 12)]
         dates, accrual = cds._schedule(contracts)
@@ -231,6 +232,30 @@ class TestSpreadTable:
                                  hurst=hurst if hurst is not None else 0.8, s0=50)
             direct = cds_spread(CdsContract(maturity=maturity, recovery=0.5), params)
             assert spread == pytest.approx(direct, rel=1e-12)
+
+    def test_batches_keep_grid_order(self, fig_params, monkeypatch):
+        # 45 cells, 30 of them priced in batches of 7; alpha = 2.5 fails
+        # validation in every third cell, so failures sit between batches
+        alphas, maturities = [0.0, -2.0, 2.5], [1.0, 2.0, 5.0]
+
+        def key(cell):
+            spread = None if math.isnan(cell.spread_bps) else cell.spread_bps
+            return cell.alpha, cell.beta, cell.hurst, cell.maturity, spread, cell.error
+
+        whole = spread_table(fig_params(), alphas, self.BETAS_HURSTS, maturities)
+        monkeypatch.setattr(cds, "BATCH_CELLS", 7)
+        cells = spread_table(fig_params(), alphas, self.BETAS_HURSTS, maturities)
+        assert [key(c) for c in cells] == [key(c) for c in whole]
+        grid = [(b, h, t, a) for b, h in self.BETAS_HURSTS for t in maturities for a in alphas]
+        assert [(c.beta, c.hurst, c.maturity, c.alpha) for c in cells] == grid
+        for cell in cells:
+            if cell.alpha == 2.5:
+                assert math.isnan(cell.spread_bps) and "alpha" in cell.error
+                continue
+            assert cell.error is None
+            params = fig_params(alpha=cell.alpha, beta=cell.beta, hurst=cell.hurst or 0.8)
+            assert cell.spread_bps == cds_spread(
+                CdsContract(maturity=cell.maturity, recovery=0.5), params)
 
     def test_missing_hurst_rejected_for_fractional_rows(self, fig_params):
         with pytest.raises(ParameterError):

@@ -11,6 +11,14 @@ from mfcev.core import ModelParams
 from mfcev.mc import McConfig, mc_cds_spread, mc_default_probability
 
 DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_module(*argv):
+    """Run ``python -m mfcev`` in a fresh interpreter, so that any numpy
+    warning reaches its stderr."""
+    return subprocess.run([sys.executable, "-m", "mfcev", *argv], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
 
 SPREAD_FLAGS = ["--alpha", "-2", "--beta", "1", "--hurst", "0.9",
                 "--sigma0", "0.2", "--rate", "0.05",
@@ -204,6 +212,34 @@ class TestCurveCommand:
         assert "nan" not in proc.stdout
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--alpha=0", "--sigma0=1e300", "--rate=1e308", "--points=3"],
+        ["--alpha=-1000", "--sigma0=1e152", "--rate=0.05", "--points=2"],
+    ], ids=["phi-nan", "phi-inf-small-s"])
+    def test_q_out_of_double_range_exits_3(self, flags):
+        # phi = inf * 0 = NaN; or phi = inf at s = 1/1002, where Q = 1 would
+        # be wrong (mpmath gives 0.50698)
+        proc = run_module("curve", *flags, "--beta=0", "--tmax=1")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: numerical failure: default probability")
+
+    def test_overflowing_rate_prints_zeros(self):
+        # lambda = (2-alpha) r overflows; phi -> 0 and Q = 0 at every t
+        proc = run_module("curve", "--alpha=0", "--sigma0=0.2", "--beta=0", "--rate=1e308",
+                          "--tmax=1", "--points=3")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "t,q\n0,0\n0.5,0\n1,0\n"
+
+    @pytest.mark.parametrize("alpha", ["-1e100", "-1e150", "-1e155", "-1000.5"])
+    def test_alpha_below_minus_1000_exits_2(self, capsys, alpha):
+        # Q's accuracy is stated down to alpha = -1000; far below it Q came
+        # out wrong (a negative probability at -1e150)
+        code, out, err = run_cli(capsys, "curve", f"--alpha={alpha}", "--sigma0=0.2",
+                                 "--beta=0", "--rate=0.05", "--tmax=1", "--points=3")
+        assert code == 2 and out == ""
+        assert "'alpha'" in err
+
 
 class TestValidateCommand:
     VALIDATE_FLAGS = ["--alpha", "0", "--beta", "0", "--hurst", "0.8",
@@ -336,6 +372,28 @@ def test_non_finite_parameters_exit_2(capsys, argv, constraint):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert f"'{constraint}'" in err
+
+
+SPREAD_RUN = ["spread", "--alpha=0", "--hurst=0.8", "--maturity=1", "--recovery=0.5"]
+VALIDATE_RUN = ["validate", "--alpha=0", "--hurst=0.8", "--maturity=1",
+                "--paths=100", "--steps=10", "--seed=1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*SPREAD_RUN, "--sigma0=1e300", "--beta=0", "--rate=0.05"],
+    [*SPREAD_RUN, "--sigma0=0.2", "--beta=1e300", "--rate=0.05"],
+    [*VALIDATE_RUN, "--sigma0=1e300", "--beta=0", "--rate=0.05"],
+    [*VALIDATE_RUN, "--sigma0=0.2", "--beta=1e300", "--rate=0.05"],
+    [*VALIDATE_RUN, "--sigma0=0.2", "--beta=0", "--rate=1e308"],
+], ids=["spread-k", "spread-beta", "validate-k", "validate-beta", "validate-rate"])
+def test_out_of_range_inputs_write_one_error_line(argv):
+    # Q = 1 from the first payment date, so the annuity is 0; no numpy
+    # warning, and no OverflowError from the Monte-Carlo step, comes first
+    proc = run_module(*argv)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("error: numerical failure: premium annuity underflowed to zero "
+                           "(certain default before the first payment date); the running "
+                           "spread is undefined\n")
 
 
 def test_module_entry_point():

@@ -8,7 +8,7 @@ from scipy.special import gammaincc
 from mfcev import _mc_fallback
 from mfcev.core import (Q_SPLIT_U, FirstPassageLaw, ModelParams, default_probability,
                         fpt_density, phi_closed, phi_quadrature, validate)
-from mfcev.errors import ParameterError
+from mfcev.errors import NumericalError, ParameterError
 from mfcev.mc import McConfig, simulate_fpt
 
 from reference import (cev_default_probability, default_probability_reference,
@@ -37,6 +37,8 @@ class TestModelParams:
         ("r", dict(r=math.inf)),
         ("r", dict(r=math.nan)),
         ("s0", dict(s0=math.inf)),
+        ("alpha", dict(alpha=-1000.5)),
+        ("alpha", dict(alpha=-1e155)),
     ])
     def test_each_constraint_is_named(self, field, kwargs):
         base = dict(r=0.05, sigma0=0.2, alpha=0.0, beta=0.5, hurst=0.8, s0=50.0)
@@ -228,6 +230,61 @@ class TestDefaultProbability:
         assert default_probability(t, p) == pytest.approx(
             default_probability_reference(t, r, 0.2, alpha, 0.5, 0.8), rel=1e-10)
         assert fpt_density(t, p) >= 0.0
+
+
+class TestDoubleRange:
+    """phi(t) = inf at every t > 0 once sigma0^2 (2-alpha)^2 overflows."""
+
+    @staticmethod
+    def law(alpha, sigma0=1e300, **kwargs):
+        base = dict(r=0.05, sigma0=sigma0, alpha=alpha, beta=0.0, hurst=0.8)
+        base.update(kwargs)
+        return FirstPassageLaw.of([ModelParams(**base)])
+
+    def test_q_is_one_where_exact_and_nan_below(self):
+        # Q(s, u < 1/DBL_MAX) rounds to 1 only for s > 0.053: alpha = -16
+        # has s = 1/18, alpha = -17 has s = 1/19
+        t = np.array([0.0, 0.5, 1.0])
+        for alpha in (0.0, -16.0):
+            q, g = self.law(alpha).q_and_g(t[1:])
+            assert q.tolist() == [[1.0, 1.0]] and g.tolist() == [[0.0, 0.0]]
+            assert self.law(alpha).q(t).tolist() == [[0.0, 1.0, 1.0]]
+        for alpha, sigma0 in ((-17.0, 1e300), (-1000.0, 1e152)):
+            q, g = self.law(alpha, sigma0).q_and_g(t[1:])
+            assert np.isnan(q).all() and np.isnan(g).all()
+            assert self.law(alpha, sigma0).q(t[:1]).tolist() == [[0.0]]
+            with pytest.raises(NumericalError, match="double range"):
+                self.law(alpha, sigma0).q(t)
+
+    def test_nan_phi_gives_nan_q(self):
+        # lambda = (2-alpha) r and k both overflow: phi = inf * 0
+        law = self.law(0.0, r=1e308)
+        assert np.isnan(law.q_and_g(np.array([1.0]))[0]).all()
+        assert law.q(np.array([0.0])).tolist() == [[0.0]]
+        with pytest.raises(NumericalError):
+            law.q(np.array([0.0, 1.0]))
+
+    def test_default_probability_raises(self):
+        p = ModelParams(r=0.05, sigma0=1e152, alpha=-1000.0, beta=0.0, hurst=0.8)
+        assert default_probability(0.0, p) == 0.0
+        with pytest.raises(NumericalError, match="double range"):
+            default_probability(1.0, p)
+        # just inside the range it prices; the value is mpmath's at 50 digits
+        assert default_probability(1.0, ModelParams(r=0.05, sigma0=1e151, alpha=-1000.0,
+                                                    beta=0.0, hurst=0.8)) == pytest.approx(
+            0.50470979643973276736, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [dict(), dict(sigma0=0.2, beta=1e300),
+                                        dict(sigma0=1e-200, beta=1e300)])
+    def test_onset_stays_positive(self, kwargs):
+        onset = self.law(0.0, **kwargs).onset(np.array([[1.0]]))
+        assert 0.0 < onset[0, 0] <= 1.0
+
+    def test_onset_bounds_q(self, fig_params):
+        law = FirstPassageLaw.of([fig_params(alpha=a, beta=b, hurst=0.9)
+                                  for a in (-2.0, 0.0, 1.5) for b in (0.0, 1.0)])
+        onset = law.onset(np.full((6, 1), 10.0))
+        assert (1.0 / law.phi(onset) >= 700.0).all()
 
 
 class TestQEvaluator:

@@ -60,6 +60,13 @@ class TestSimulateFpt:
         cfg = McConfig(n_paths=2000, n_steps=50, horizon=1.0, seed=5)
         assert np.isnan(simulate_fpt(p, cfg)).all()
 
+    @pytest.mark.parametrize("kwargs", [dict(sigma0=1e300), dict(beta=1e300), dict(r=1e308)])
+    def test_coefficients_out_of_range_raise(self, fig_params, kwargs):
+        # sigma0^2 or beta^2 overflows, or A dt = (2-alpha) r dt does
+        cfg = McConfig(n_paths=100, n_steps=10, horizon=1.0, seed=1)
+        with pytest.raises(NumericalError, match="step coefficients"):
+            simulate_fpt(fig_params(**kwargs), cfg)
+
     def test_default_times_on_grid(self, fig_params):
         p = fig_params(alpha=-2.0, beta=1.0, hurst=0.9)
         cfg = McConfig(n_paths=4000, n_steps=40, horizon=2.0, seed=11)
