@@ -12,7 +12,7 @@ one array pass that also covers Q(T) and the premium dates (``_schedule``).
 One convergence test, applied at every doubling of the panels, estimates
 each cell's quadrature error; only the cells that miss it are refined.
 ``spread_table`` feeds the kernel BATCH_CELLS cells at a time; every other
-caller prices one cell.  ``ModelParams`` checks itself when it is built.
+caller prices one cell.  ``ModelParams`` and ``CdsContract`` check themselves.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ class CdsContract:
                                  f"maturity must be finite and > 0, got {self.maturity}")
         if not 0.0 <= self.recovery <= 1.0:
             raise ParameterError("recovery", f"recovery must lie in [0, 1], got {self.recovery}")
-        if not self.notional > 0.0:
-            raise ParameterError("notional", f"notional must be > 0, got {self.notional}")
+        if not 0.0 < self.notional < math.inf:
+            raise ParameterError("notional",
+                                 f"notional must be finite and > 0, got {self.notional}")
         # the comparisons come first, so int() never sees inf or NaN
         if (not 1 <= self.payments_per_year < math.inf
                 or self.payments_per_year != int(self.payments_per_year)):
@@ -269,26 +270,28 @@ def spread_table(params_base: ModelParams,
     """Cartesian spread grid in fixed (beta, hurst, maturity, alpha) order.
 
     betas_hursts holds (beta, hurst) pairs; hurst may be None only when
-    beta == 0 (the classical rows, where it has no effect).  The grid is
-    priced BATCH_CELLS cells per kernel pass; failures are captured per
-    cell (spread NaN, error message set) without aborting.
+    beta == 0 (the classical rows, where it has no effect).  Bad contract
+    terms or a missing hurst raise ParameterError before any pricing; any
+    other failure is captured per cell (spread NaN, error message set).
+    The grid is priced BATCH_CELLS cells per kernel pass.
     """
+    contracts = [CdsContract(maturity=maturity, recovery=recovery,
+                             payments_per_year=payments_per_year) for maturity in maturities]
     cells: list[SpreadCell] = []
     todo = []  # (grid position, params, contract) of each cell whose inputs are valid
     for beta, hurst in betas_hursts:
         if hurst is None and beta != 0.0:
             raise ParameterError("hurst", "hurst may be omitted only when beta = 0")
-        for maturity in maturities:
+        for contract in contracts:
             for alpha in alphas:
-                cell = SpreadCell(alpha, beta, hurst, maturity, math.nan)
+                cell = SpreadCell(alpha, beta, hurst, contract.maturity, math.nan)
                 try:
                     todo.append((len(cells),
                                  ModelParams(r=params_base.r, sigma0=params_base.sigma0,
                                              alpha=alpha, beta=beta,
                                              hurst=hurst if hurst is not None else 0.8,
                                              s0=params_base.s0),
-                                 CdsContract(maturity=maturity, recovery=recovery,
-                                             payments_per_year=payments_per_year)))
+                                 contract))
                 except ValueError as exc:
                     cell = dataclasses.replace(cell, error=str(exc))
                 cells.append(cell)

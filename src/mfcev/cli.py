@@ -1,15 +1,16 @@
 """Command-line front end: the subcommands spread, table1, curve and validate.
 
-``_COMMANDS`` declares each subcommand once: its help text, its flags,
-the flags it requires and its defaults.  All configuration comes from
-flags, optionally seeded from a flat ``key = value`` scenario file
-(explicit flags win over the file, the file over the defaults).  CSV
-output uses a header row, comma separators, ``.`` decimals and LF line
-endings.
+``_COMMANDS`` declares each subcommand once: its help text, and each flag
+it reads with that flag's status (required, a default value, or None).
+All configuration comes from flags, optionally seeded from a flat
+``key = value`` scenario file (explicit flags win over the file, the file
+over the defaults).  CSV output uses a header row, comma separators, ``.``
+decimals and LF line endings.
 
 Exit codes: 0 success, 1 Monte-Carlo validation failure, 2 usage or
-parameter error, 3 numerical failure (any ArithmeticError: a NumericalError,
-or a float operation that overflowed).
+parameter error, or a scenario or output file that cannot be read or
+written, 3 numerical failure (any ArithmeticError: a NumericalError, or a
+float operation that overflowed).
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ TABLE1_BETA_HURST = [(0.0, None), (0.5, 0.8), (0.5, 0.9), (1.0, 0.8), (1.0, 0.9)
 TABLE1_ALPHAS = [0.0, -2.0]
 TABLE1_MATURITIES = [1.0, 2.0, 5.0, 10.0]
 
-_MODEL_KEYS = ("alpha", "beta", "hurst", "sigma0", "rate", "s0")
 _Z_LIMIT = 4.0
+#: the status of a flag the command cannot run without
+_REQUIRED = object()
 
 #: every flag: its parser and help text
 _FLAGS = {
@@ -58,18 +60,16 @@ _FLAGS = {
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand: its help text and entry point, the flags it reads,
-    those it cannot run without, and the values of the others when neither
-    a flag nor the scenario file sets them (None otherwise)."""
+    """One subcommand: its help text and entry point, and each flag it reads
+    mapped to its status: _REQUIRED, or its value when neither the flag nor
+    the scenario file sets it (None if it has no default)."""
 
     help: str
     run: Callable[[dict], int]
-    flags: tuple[str, ...]
-    required: tuple[str, ...]
-    defaults: dict
+    flags: dict
 
 
-def _add_flags(sub: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+def _add_flags(sub: argparse.ArgumentParser, names) -> None:
     for name in names:
         parse, help_text = _FLAGS[name]
         kwargs = {"type": parse, "help": help_text, "default": None}
@@ -80,14 +80,11 @@ def _add_flags(sub: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
                      help="flat key = value file supplying defaults for the flags")
 
 
-def _parse_scenario(path: str, allowed: tuple[str, ...]) -> dict:
+def _parse_scenario(path: str, allowed) -> dict:
     """Read a flat scenario file; reject keys the command does not accept."""
     values: dict = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ParameterError("scenario", f"cannot read scenario file: {exc}") from exc
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.readlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -115,27 +112,23 @@ def _merge(args: argparse.Namespace, command: _Command) -> dict:
     """Resolve each flag as: explicit flag > scenario entry > command default."""
     scenario = _parse_scenario(args.scenario, command.flags) if args.scenario else {}
     merged = {}
-    for name in command.flags:
+    for name, status in command.flags.items():
         value = getattr(args, name)
         if value is None:
-            value = scenario.get(name, command.defaults.get(name))
+            value = scenario.get(name, status)
+        if value is _REQUIRED:
+            raise ParameterError(name, f"missing required parameter --{name}")
         merged[name] = value
-    _require(merged, command.required)
     if merged["precision"] is not None and merged["precision"] < 0:
         raise ParameterError("precision", f"precision must be >= 0, got {merged['precision']}")
     return merged
 
 
-def _require(merged: dict, names: tuple[str, ...]) -> None:
-    for name in names:
-        if merged[name] is None:
-            raise ParameterError(name, f"missing required parameter --{name}")
-
-
-def _model_params(merged: dict) -> ModelParams:
-    return ModelParams(r=merged["rate"], sigma0=merged["sigma0"],
-                       alpha=merged["alpha"], beta=merged["beta"],
-                       hurst=merged["hurst"], s0=merged["s0"])
+def _model_params(merged: dict, **given) -> ModelParams:
+    """The model parameters of the flags, with ``given`` in place of theirs."""
+    flags = {**merged, **given}
+    return ModelParams(r=flags["rate"], sigma0=flags["sigma0"], alpha=flags["alpha"],
+                       beta=flags["beta"], hurst=flags["hurst"], s0=flags["s0"])
 
 
 def _fmt_bps(value: float, precision: int | None) -> str:
@@ -144,10 +137,6 @@ def _fmt_bps(value: float, precision: int | None) -> str:
 
 def _fmt_prob(value: float, precision: int | None) -> str:
     return f"{value:.{6 if precision is None else precision}g}"
-
-
-def _fmt_grid(value: float) -> str:
-    return f"{value:g}"
 
 
 def _emit(lines: list[str], output: str | None) -> None:
@@ -177,13 +166,7 @@ def cmd_table1(merged: dict) -> int:
                                  f"bad maturity list {merged['maturities']!r}") from exc
         if not maturities:
             raise ParameterError("maturities", "maturity list is empty")
-    # bad contract terms are the caller's, so they exit as a parameter error
-    # here rather than as a failed cell of the grid
-    for maturity in maturities:
-        CdsContract(maturity=maturity, recovery=merged["recovery"],
-                    payments_per_year=merged["freq"])
-    base = ModelParams(r=merged["rate"], sigma0=merged["sigma0"], alpha=0.0,
-                       beta=0.0, hurst=0.8, s0=merged["s0"])
+    base = _model_params(merged, alpha=0.0, beta=0.0, hurst=0.8)
     cells = spread_table(base, TABLE1_ALPHAS, TABLE1_BETA_HURST, maturities,
                          recovery=merged["recovery"], payments_per_year=merged["freq"])
     lines = ["beta,hurst,alpha,maturity,spread_bps"]
@@ -191,9 +174,9 @@ def cmd_table1(merged: dict) -> int:
         if cell.error is not None:
             raise NumericalError(f"table cell (beta={cell.beta}, hurst={cell.hurst}, "
                                  f"alpha={cell.alpha}, T={cell.maturity}) failed: {cell.error}")
-        hurst = "-" if cell.hurst is None else _fmt_grid(cell.hurst)
-        lines.append(f"{_fmt_grid(cell.beta)},{hurst},{_fmt_grid(cell.alpha)},"
-                     f"{_fmt_grid(cell.maturity)},{_fmt_bps(cell.spread_bps, merged['precision'])}")
+        hurst = "-" if cell.hurst is None else f"{cell.hurst:g}"
+        lines.append(f"{cell.beta:g},{hurst},{cell.alpha:g},{cell.maturity:g},"
+                     f"{_fmt_bps(cell.spread_bps, merged['precision'])}")
     _emit(lines, merged["output"])
     return 0
 
@@ -215,8 +198,10 @@ def _parse_series(tokens: list[str]) -> list[tuple[float, float | None]]:
 def cmd_curve(merged: dict) -> int:
     if merged["series"]:
         series = _parse_series(list(merged["series"]))
+    elif merged["beta"] is None:
+        # --beta is required only without --series
+        raise ParameterError("beta", "missing required parameter --beta")
     else:
-        _require(merged, ("beta",))
         series = [(merged["beta"], merged["hurst"])]
 
     columns = []
@@ -224,10 +209,7 @@ def cmd_curve(merged: dict) -> int:
     for beta, hurst in series:
         if hurst is None and beta != 0.0:
             raise ParameterError("hurst", f"series beta={beta:g} needs a Hurst exponent")
-        params = ModelParams(r=merged["rate"], sigma0=merged["sigma0"],
-                             alpha=merged["alpha"], beta=beta,
-                             hurst=hurst if hurst is not None else 0.8,
-                             s0=merged["s0"])
+        params = _model_params(merged, beta=beta, hurst=hurst if hurst is not None else 0.8)
         points = default_curve(params, merged["tmax"], merged["points"])
         labels.append(f"q_b{beta:g}" if hurst is None else f"q_b{beta:g}_H{hurst:g}")
         columns.append(points)
@@ -281,29 +263,21 @@ def cmd_validate(merged: dict) -> int:
 
 
 _COMMANDS = {
-    "spread": _Command(
-        "price one CDS spread (bps)", cmd_spread,
-        flags=_MODEL_KEYS + ("recovery", "maturity", "freq", "precision"),
-        required=("alpha", "beta", "hurst", "sigma0", "rate", "recovery", "maturity"),
-        defaults={"s0": 50.0, "freq": 2}),
-    "table1": _Command(
-        "benchmark spread grid as CSV", cmd_table1,
-        flags=("sigma0", "rate", "recovery", "s0", "freq", "maturities", "precision", "output"),
-        required=(),
-        defaults={"sigma0": 0.2, "rate": 0.05, "recovery": 0.5, "s0": 50.0, "freq": 2}),
-    "curve": _Command(
-        "default-probability curve(s) as CSV", cmd_curve,
-        flags=("alpha", "sigma0", "rate", "s0", "beta", "hurst",
-               "tmax", "points", "series", "precision", "output"),
-        required=("alpha", "sigma0", "rate", "tmax", "points"),
-        defaults={"s0": 50.0}),
-    "validate": _Command(
-        "Monte-Carlo vs analytic report", cmd_validate,
-        flags=_MODEL_KEYS + ("recovery", "maturity", "freq", "paths", "steps", "seed",
-                             "precision"),
-        required=("alpha", "beta", "hurst", "sigma0", "rate", "maturity", "paths", "steps",
-                  "seed"),
-        defaults={"recovery": 0.5, "s0": 50.0, "freq": 2}),
+    "spread": _Command("price one CDS spread (bps)", cmd_spread, {
+        "alpha": _REQUIRED, "beta": _REQUIRED, "hurst": _REQUIRED, "sigma0": _REQUIRED,
+        "rate": _REQUIRED, "s0": 50.0, "recovery": _REQUIRED, "maturity": _REQUIRED,
+        "freq": 2, "precision": None}),
+    "table1": _Command("benchmark spread grid as CSV", cmd_table1, {
+        "sigma0": 0.2, "rate": 0.05, "recovery": 0.5, "s0": 50.0, "freq": 2,
+        "maturities": None, "precision": None, "output": None}),
+    "curve": _Command("default-probability curve(s) as CSV", cmd_curve, {
+        "alpha": _REQUIRED, "sigma0": _REQUIRED, "rate": _REQUIRED, "s0": 50.0,
+        "beta": None, "hurst": None, "tmax": _REQUIRED, "points": _REQUIRED,
+        "series": None, "precision": None, "output": None}),
+    "validate": _Command("Monte-Carlo vs analytic report", cmd_validate, {
+        "alpha": _REQUIRED, "beta": _REQUIRED, "hurst": _REQUIRED, "sigma0": _REQUIRED,
+        "rate": _REQUIRED, "s0": 50.0, "recovery": 0.5, "maturity": _REQUIRED, "freq": 2,
+        "paths": _REQUIRED, "steps": _REQUIRED, "seed": _REQUIRED, "precision": None}),
 }
 
 
@@ -331,7 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         # FloatingPointError of a float operation that left the double range
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # a scenario or output file that cannot be read or written, or a bad value
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,28 +71,23 @@ class ModelParams:
     s0: float = 50.0
 
     def __post_init__(self):
-        validate(self)
+        """Check every constraint; raise ParameterError naming the first violated one.
 
-
-def validate(params: ModelParams) -> ModelParams:
-    """Check every model constraint; raise ParameterError naming the first violated one.
-
-    Each check is a comparison that NaN fails, bounded strictly at the
-    infinite end, so every parameter must also be finite.
-    """
-    if not -1000.0 <= params.alpha < 2.0:
-        raise ParameterError("alpha", f"alpha must lie in [-1000, 2), got {params.alpha}")
-    if not 0.75 < params.hurst < 1.0:
-        raise ParameterError("hurst", f"hurst must lie in (3/4, 1), got {params.hurst}")
-    if not 0.0 <= params.beta < math.inf:
-        raise ParameterError("beta", f"beta must be finite and >= 0, got {params.beta}")
-    if not 0.0 < params.sigma0 < math.inf:
-        raise ParameterError("sigma0", f"sigma0 must be finite and > 0, got {params.sigma0}")
-    if not 0.0 <= params.r < math.inf:
-        raise ParameterError("r", f"r must be finite and >= 0, got {params.r}")
-    if not 0.0 < params.s0 < math.inf:
-        raise ParameterError("s0", f"s0 must be finite and > 0, got {params.s0}")
-    return params
+        Each check is a comparison that NaN fails, bounded strictly at the
+        infinite end, so every parameter must also be finite.
+        """
+        if not -1000.0 <= self.alpha < 2.0:
+            raise ParameterError("alpha", f"alpha must lie in [-1000, 2), got {self.alpha}")
+        if not 0.75 < self.hurst < 1.0:
+            raise ParameterError("hurst", f"hurst must lie in (3/4, 1), got {self.hurst}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ParameterError("beta", f"beta must be finite and >= 0, got {self.beta}")
+        if not 0.0 < self.sigma0 < math.inf:
+            raise ParameterError("sigma0", f"sigma0 must be finite and > 0, got {self.sigma0}")
+        if not 0.0 <= self.r < math.inf:
+            raise ParameterError("r", f"r must be finite and >= 0, got {self.r}")
+        if not 0.0 < self.s0 < math.inf:
+            raise ParameterError("s0", f"s0 must be finite and > 0, got {self.s0}")
 
 
 def _regularized_upper_gamma(s, u) -> np.ndarray:
@@ -259,17 +254,26 @@ class FirstPassageLaw:
         return q, g
 
 
+def _finite_phi(t: float, phi) -> float:
+    if not math.isfinite(phi):
+        raise NumericalError(f"phi({t}) in model units is not finite in double precision")
+    return float(phi)
+
+
 def phi_closed(t: float, params: ModelParams) -> float:
     """Closed form of phi(t) = integral_0^t C(u) e^(-(2-alpha) r u) du, in model units.
 
     That is s0^(2-alpha) times ``FirstPassageLaw.phi``, whose docstring
-    gives the formula.
+    gives the formula.  Raises NumericalError where phi in model units is
+    not finite in double precision.
     """
     if t < 0.0:
         raise ValueError(f"phi requires t >= 0, got {t}")
     if t == 0.0:
         return 0.0
-    return params.s0 ** (2.0 - params.alpha) * FirstPassageLaw.of([params]).phi(t).item()
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.float64(params.s0) ** (2.0 - params.alpha) * FirstPassageLaw.of([params]).phi(t)
+    return _finite_phi(t, phi.item())
 
 
 def phi_quadrature(t: float, params: ModelParams) -> float:
@@ -281,7 +285,9 @@ def phi_quadrature(t: float, params: ModelParams) -> float:
     lambda = (2-alpha) r, taken straight from the parameters: an oracle for
     phi_closed that shares nothing with FirstPassageLaw.  The two agree to
     ~1e-10 relative.  Raises QuadratureError, carrying the achieved error
-    estimate, when the integrator cannot reach 1e-10 relative on a panel.
+    estimate, when the integrator cannot reach 1e-10 relative on a panel,
+    and NumericalError where phi in model units is not finite in double
+    precision.
     """
     if t < 0.0:
         raise ValueError(f"phi requires t >= 0, got {t}")
@@ -293,8 +299,10 @@ def phi_quadrature(t: float, params: ModelParams) -> float:
 
     two_a = 2.0 - params.alpha
     lam = two_a * params.r
-    scale = params.sigma0 ** 2 * params.s0 ** two_a * two_a ** 2
-    beta_sq_h = params.beta ** 2 * params.hurst
+    # numpy scalars overflow to inf (and phi with them) where Python floats raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.float64(params.sigma0) ** 2 * np.float64(params.s0) ** two_a * two_a ** 2)
+        beta_sq_h = float(np.float64(params.beta) ** 2 * params.hurst)
     power = 2.0 * params.hurst - 1.0  # > 0, so u^power is finite at u = 0
 
     def integrand(u: float) -> float:
@@ -313,7 +321,7 @@ def phi_quadrature(t: float, params: ModelParams) -> float:
             raise QuadratureError(f"quadrature failed: {info[1]} "
                                   f"(achieved abs. error {abserr:.3e})", value, abserr)
         panels.append(value)
-    return math.fsum(panels)
+    return _finite_phi(t, math.fsum(panels))
 
 
 def fpt_density(t: float, params: ModelParams) -> float:

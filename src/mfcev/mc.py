@@ -46,8 +46,6 @@ MAX_PATH_STEPS = 2_000_000_000
 #: number of contiguous path batches used for spread standard errors
 SPREAD_BATCHES = 20
 
-SCHEMES = ("euler_full_truncation",)
-
 
 def have_compiled_kernel() -> bool:
     """Always False: the stepping kernel is numpy only.  Kept for callers
@@ -57,14 +55,12 @@ def have_compiled_kernel() -> bool:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation controls: path count, uniform grid size on [0, horizon],
-    master seed, and discretization scheme."""
+    """Simulation controls: path count, uniform grid size on [0, horizon], master seed."""
 
     n_paths: int
     n_steps: int
     horizon: float
     seed: int
-    scheme: str = "euler_full_truncation"
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -80,9 +76,6 @@ class McConfig:
                            f"exceeds the budget of {MAX_PATH_STEPS}")
         if not 0 <= self.seed < 2 ** 64:
             raise ParameterError("seed", f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.scheme not in SCHEMES:
-            raise ParameterError("scheme", f"unknown scheme {self.scheme!r}; "
-                                           f"supported: {', '.join(SCHEMES)}")
 
 
 @dataclass(frozen=True)

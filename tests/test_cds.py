@@ -28,6 +28,7 @@ class TestCdsContract:
         ("maturity", dict(maturity=math.nan)),
         ("payments_per_year", dict(payments_per_year=math.inf)),
         ("payments_per_year", dict(payments_per_year=math.nan)),
+        ("notional", dict(notional=math.inf)),
     ])
     def test_constraints(self, field, kwargs):
         base = dict(maturity=5.0, recovery=0.5)
@@ -203,10 +204,24 @@ class TestSpreadTable:
         assert cells[0].error is None
 
     def test_cell_failure_is_captured(self, fig_params):
-        cells = spread_table(fig_params(), [0.0], [(0.5, 0.8)], [-1.0])
+        cells = spread_table(fig_params(), [2.5], [(0.5, 0.8)], [1.0])
         assert len(cells) == 1
         assert math.isnan(cells[0].spread_bps)
-        assert "maturity" in cells[0].error
+        assert "alpha" in cells[0].error
+
+    @pytest.mark.parametrize("field,maturities,terms", [
+        ("maturity", [1.0, -1.0], {}),
+        ("recovery", [1.0, 2.0], dict(recovery=1.5)),
+        ("payments_per_year", [1.0, 2.0], dict(payments_per_year=0)),
+    ])
+    def test_bad_contract_terms_raise_before_pricing(self, fig_params, monkeypatch,
+                                                     field, maturities, terms):
+        priced = []
+        monkeypatch.setattr(cds, "_price_batch", lambda *args: priced.append(args))
+        with pytest.raises(ParameterError) as err:
+            spread_table(fig_params(), [0.0, -2.0], self.BETAS_HURSTS, maturities, **terms)
+        assert err.value.constraint == field
+        assert priced == []
 
     def test_alternating_classical_and_fractional_rows(self):
         # phi once evaluated P(2H, lambda t) through a scipy.special ufunc

@@ -396,6 +396,57 @@ def test_out_of_range_inputs_write_one_error_line(argv):
                            "spread is undefined\n")
 
 
+#: per command, every flag it requires, with a value that runs; curve also
+#: needs --beta when it has no --series
+REQUIRED_FLAGS = {
+    "spread": dict(alpha="-2", beta="1", hurst="0.9", sigma0="0.2", rate="0.05",
+                   recovery="0.5", maturity="1"),
+    "table1": {},
+    "curve": dict(alpha="0", sigma0="0.2", rate="0.05", tmax="1", points="3"),
+    "validate": dict(alpha="0", beta="0", hurst="0.8", sigma0="0.2", rate="0.05",
+                     maturity="1", paths="100", steps="10", seed="1"),
+}
+EXTRA_FLAGS = {"curve": ["--beta=0"]}
+
+
+def required_run(command, leave_out=None):
+    return [command, *(f"--{name}={value}" for name, value in REQUIRED_FLAGS[command].items()
+                       if name != leave_out), *EXTRA_FLAGS.get(command, [])]
+
+
+@pytest.mark.parametrize("command", REQUIRED_FLAGS)
+def test_required_flags_suffice(capsys, command):
+    code, out, err = run_cli(capsys, *required_run(command))
+    assert code in (0, 1) and out and err == ""
+
+
+@pytest.mark.parametrize("command,flag", [(command, flag) for command, flags
+                                          in REQUIRED_FLAGS.items() for flag in flags])
+def test_each_missing_required_flag_exits_2(capsys, command, flag):
+    code, out, err = run_cli(capsys, *required_run(command, leave_out=flag))
+    assert code == 2 and out == ""
+    assert err == f"error: invalid parameter '{flag}': missing required parameter --{flag}\n"
+
+
+def test_curve_needs_beta_without_series(capsys):
+    code, out, err = run_cli(capsys, *(arg for arg in required_run("curve") if arg != "--beta=0"))
+    assert code == 2 and out == ""
+    assert err == "error: invalid parameter 'beta': missing required parameter --beta\n"
+
+
+@pytest.mark.parametrize("argv", [["table1", "--maturities=1"],
+                                  ["curve", *required_run("curve")[1:]]],
+                         ids=["table1", "curve"])
+@pytest.mark.parametrize("where", ["missing-directory", "onto-directory"])
+def test_unwritable_output_exits_2(tmp_path, argv, where):
+    # a subprocess, so that a traceback would reach its stderr
+    target = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
+    proc = run_module(*argv, f"--output={target}")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(target) in proc.stderr
+
+
 def test_module_entry_point():
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(

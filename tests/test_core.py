@@ -7,7 +7,7 @@ from scipy.special import gammaincc
 
 from mfcev import _mc_fallback
 from mfcev.core import (Q_SPLIT_U, FirstPassageLaw, ModelParams, default_probability,
-                        fpt_density, phi_closed, phi_quadrature, validate)
+                        fpt_density, phi_closed, phi_quadrature)
 from mfcev.errors import NumericalError, ParameterError
 from mfcev.mc import McConfig, simulate_fpt
 
@@ -18,7 +18,7 @@ from reference import (cev_default_probability, default_probability_reference,
 class TestModelParams:
     def test_benchmark_point_valid(self):
         p = ModelParams(r=0.05, sigma0=0.2, alpha=0.0, beta=0.5, hurst=0.8, s0=50.0)
-        assert validate(p) is p
+        assert (p.r, p.sigma0, p.alpha, p.beta, p.hurst, p.s0) == (0.05, 0.2, 0.0, 0.5, 0.8, 50.0)
 
     @pytest.mark.parametrize("field,kwargs", [
         ("alpha", dict(alpha=2.0)),
@@ -148,6 +148,16 @@ class TestPhi:
         above = phi_closed(2.0, ModelParams(r=1e-10, **common))
         at_limit = phi_closed(2.0, ModelParams(r=0.0, **common))
         assert above == pytest.approx(at_limit, rel=1e-7)
+
+    @pytest.mark.parametrize("phi", [phi_closed, phi_quadrature])
+    @pytest.mark.parametrize("kwargs", [dict(alpha=-1000.0), dict(sigma0=1e200),
+                                        dict(beta=1e200)],
+                             ids=["s0-power", "sigma0-squared", "beta-squared"])
+    def test_out_of_double_range_raises(self, fig_params, phi, kwargs):
+        # s0^(2-alpha) = 50^1002, sigma0^2 or beta^2 overflows; these raised
+        # OverflowError, or returned inf, instead of the documented error
+        with pytest.raises(NumericalError, match="not finite in double precision"):
+            phi(1.0, fig_params(**kwargs))
 
 
 class TestFptDensity:

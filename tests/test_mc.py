@@ -29,7 +29,7 @@ class TestMcConfig:
         ("horizon", dict(horizon=0.0)),
         ("seed", dict(seed=-1)),
         ("seed", dict(seed=2 ** 64)),
-        ("scheme", dict(scheme="milstein")),
+        ("horizon", dict(horizon=-1.0)),
         ("horizon", dict(horizon=math.inf)),
         ("horizon", dict(horizon=math.nan)),
     ])

@@ -1,4 +1,4 @@
-"""Property tests over the whole parameter domain that validate() accepts.
+"""Property tests over the whole parameter domain that ModelParams accepts.
 
 Every accepted input must either price, or fail with a documented error and
 exit code; Q is checked against a scipy oracle in units with s0 = 1.
