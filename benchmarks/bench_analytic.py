@@ -45,7 +45,7 @@ from mfcev.cli import TABLE1_ALPHAS, TABLE1_BETA_HURST, TABLE1_MATURITIES
 from mfcev.core import FirstPassageLaw, ModelParams
 
 #: the table1 defaults of the CLI
-BASE = ModelParams(r=0.05, sigma0=0.2, alpha=0.0, beta=0.0, hurst=0.8, s0=50.0)
+BASE = ModelParams(r=0.05, sigma0=0.2, alpha=0.0, beta=0.0, hurst=None, s0=50.0)
 RECOVERY = 0.5
 #: the fractional benchmark cell
 CELL = ModelParams(r=0.05, sigma0=0.2, alpha=-2.0, beta=0.5, hurst=0.8, s0=50.0)

@@ -11,13 +11,13 @@ Gauss-Legendre panels equal in ln t from ``FirstPassageLaw.onset`` to T, in
 one array pass that also covers Q(T) and the premium dates (``_schedule``).
 One convergence test, applied at every doubling of the panels, estimates
 each cell's quadrature error; only the cells that miss it are refined.
-``spread_table`` feeds the kernel BATCH_CELLS cells at a time; every other
-caller prices one cell.  ``ModelParams`` and ``CdsContract`` check themselves.
+``ModelParams`` and ``CdsContract`` check themselves.  ``spread_table``
+builds every cell's inputs before it prices any, then feeds the kernel
+BATCH_CELLS cells at a time; every other caller prices one cell.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -79,7 +79,8 @@ class CdsContract:
 
 @dataclass(frozen=True)
 class SpreadCell:
-    """One entry of a spread table; hurst is None on classical (beta=0) rows."""
+    """One entry of a spread table: its inputs as given, and its spread, or
+    NaN and the message of the NumericalError that stopped its pricing."""
 
     alpha: float
     beta: float
@@ -269,39 +270,26 @@ def spread_table(params_base: ModelParams,
                  payments_per_year: int = 2) -> list[SpreadCell]:
     """Cartesian spread grid in fixed (beta, hurst, maturity, alpha) order.
 
-    betas_hursts holds (beta, hurst) pairs; hurst may be None only when
-    beta == 0 (the classical rows, where it has no effect).  Bad contract
-    terms or a missing hurst raise ParameterError before any pricing; any
-    other failure is captured per cell (spread NaN, error message set).
+    params_base supplies r, sigma0 and s0; hurst may be None only where
+    beta = 0.  Every cell's ModelParams and CdsContract is built before any
+    pricing, so a bad input raises ParameterError naming it.  A cell whose
+    pricing fails carries the NumericalError's message, with spread NaN.
     The grid is priced BATCH_CELLS cells per kernel pass.
     """
     contracts = [CdsContract(maturity=maturity, recovery=recovery,
                              payments_per_year=payments_per_year) for maturity in maturities]
-    cells: list[SpreadCell] = []
-    todo = []  # (grid position, params, contract) of each cell whose inputs are valid
-    for beta, hurst in betas_hursts:
-        if hurst is None and beta != 0.0:
-            raise ParameterError("hurst", "hurst may be omitted only when beta = 0")
-        for contract in contracts:
-            for alpha in alphas:
-                cell = SpreadCell(alpha, beta, hurst, contract.maturity, math.nan)
-                try:
-                    todo.append((len(cells),
-                                 ModelParams(r=params_base.r, sigma0=params_base.sigma0,
-                                             alpha=alpha, beta=beta,
-                                             hurst=hurst if hurst is not None else 0.8,
-                                             s0=params_base.s0),
-                                 contract))
-                except ValueError as exc:
-                    cell = dataclasses.replace(cell, error=str(exc))
-                cells.append(cell)
-    for start in range(0, len(todo), BATCH_CELLS):
-        at, params, contracts = zip(*todo[start:start + BATCH_CELLS])
-        for i, *priced in zip(at, *_price_batch(params, contracts)):
+    grid = [(ModelParams(r=params_base.r, sigma0=params_base.sigma0, alpha=alpha, beta=beta,
+                         hurst=hurst, s0=params_base.s0), contract)
+            for beta, hurst in betas_hursts for contract in contracts for alpha in alphas]
+    cells = []
+    for start in range(0, len(grid), BATCH_CELLS):
+        batch = grid[start:start + BATCH_CELLS]
+        for (p, contract), *priced in zip(batch, *_price_batch(*zip(*batch))):
             try:
-                cells[i] = dataclasses.replace(cells[i], spread_bps=_spread_bps(*priced))
+                spread, error = _spread_bps(*priced), None
             except NumericalError as exc:
-                cells[i] = dataclasses.replace(cells[i], error=str(exc))
+                spread, error = math.nan, str(exc)
+            cells.append(SpreadCell(p.alpha, p.beta, p.hurst, contract.maturity, spread, error))
     return cells
 
 

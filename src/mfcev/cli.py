@@ -83,8 +83,12 @@ def _add_flags(sub: argparse.ArgumentParser, names) -> None:
 def _parse_scenario(path: str, allowed) -> dict:
     """Read a flat scenario file; reject keys the command does not accept."""
     values: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
+    try:
+        # utf-8-sig drops the byte-order mark an editor may write first
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError("scenario", f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -166,7 +170,7 @@ def cmd_table1(merged: dict) -> int:
                                  f"bad maturity list {merged['maturities']!r}") from exc
         if not maturities:
             raise ParameterError("maturities", "maturity list is empty")
-    base = _model_params(merged, alpha=0.0, beta=0.0, hurst=0.8)
+    base = _model_params(merged, alpha=0.0, beta=0.0, hurst=None)
     cells = spread_table(base, TABLE1_ALPHAS, TABLE1_BETA_HURST, maturities,
                          recovery=merged["recovery"], payments_per_year=merged["freq"])
     lines = ["beta,hurst,alpha,maturity,spread_bps"]
@@ -204,18 +208,11 @@ def cmd_curve(merged: dict) -> int:
     else:
         series = [(merged["beta"], merged["hurst"])]
 
-    columns = []
-    labels = []
-    for beta, hurst in series:
-        if hurst is None and beta != 0.0:
-            raise ParameterError("hurst", f"series beta={beta:g} needs a Hurst exponent")
-        params = _model_params(merged, beta=beta, hurst=hurst if hurst is not None else 0.8)
-        points = default_curve(params, merged["tmax"], merged["points"])
-        labels.append(f"q_b{beta:g}" if hurst is None else f"q_b{beta:g}_H{hurst:g}")
-        columns.append(points)
-
-    header_cols = labels if merged["series"] else ["q"]
-    lines = ["t," + ",".join(header_cols)]
+    columns = [default_curve(_model_params(merged, beta=beta, hurst=hurst),
+                             merged["tmax"], merged["points"]) for beta, hurst in series]
+    labels = [f"q_b{beta:g}" if hurst is None else f"q_b{beta:g}_H{hurst:g}"
+              for beta, hurst in series]
+    lines = ["t," + ",".join(labels if merged["series"] else ["q"])]
     for i in range(merged["points"]):
         t = columns[0][i].t
         row = [f"{t:.10g}"]

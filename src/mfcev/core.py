@@ -55,7 +55,8 @@ class ModelParams:
     alpha   elasticity exponent, in [-1000, 2): below 2 so that zero is
             attainable, and down to -1000, where Q's accuracy is stated
     beta    fractional mixing weight (>= 0; 0 recovers the classical CEV)
-    hurst   Hurst exponent of the fractional component, in (3/4, 1)
+    hurst   Hurst exponent of the fractional component, in (3/4, 1); may
+            be None only when beta = 0, where H has no role
     s0      initial price (> 0)
 
     The volatility coefficient of the price SDE is delta = sigma0 *
@@ -67,7 +68,7 @@ class ModelParams:
     sigma0: float
     alpha: float
     beta: float
-    hurst: float
+    hurst: float | None
     s0: float = 50.0
 
     def __post_init__(self):
@@ -78,16 +79,27 @@ class ModelParams:
         """
         if not -1000.0 <= self.alpha < 2.0:
             raise ParameterError("alpha", f"alpha must lie in [-1000, 2), got {self.alpha}")
-        if not 0.75 < self.hurst < 1.0:
+        if self.hurst is not None and not 0.75 < self.hurst < 1.0:
             raise ParameterError("hurst", f"hurst must lie in (3/4, 1), got {self.hurst}")
         if not 0.0 <= self.beta < math.inf:
             raise ParameterError("beta", f"beta must be finite and >= 0, got {self.beta}")
+        if self.hurst is None and self.beta != 0.0:
+            raise ParameterError("hurst", f"hurst may be omitted only at beta = 0, not {self.beta}")
         if not 0.0 < self.sigma0 < math.inf:
             raise ParameterError("sigma0", f"sigma0 must be finite and > 0, got {self.sigma0}")
         if not 0.0 <= self.r < math.inf:
             raise ParameterError("r", f"r must be finite and >= 0, got {self.r}")
         if not 0.0 < self.s0 < math.inf:
             raise ParameterError("s0", f"s0 must be finite and > 0, got {self.s0}")
+
+    @property
+    def effective_hurst(self) -> float:
+        """H as every formula reads it: hurst, or 1/2 on a classical row.
+
+        There beta = 0 zeroes every term that holds H, so any H gives the
+        same bits, and 2H = 1 keeps each of those terms finite for any t.
+        """
+        return 0.5 if self.hurst is None else self.hurst
 
 
 def _regularized_upper_gamma(s, u) -> np.ndarray:
@@ -143,6 +155,7 @@ class FirstPassageLaw:
 
     the second term being beta^2 H integral_0^t u^(2H-1) e^(-lambda u) du.
     Below R_ZERO_TOL the rate drops out: phi(t) = k (t + beta^2 t^(2H)) / 2.
+    H is ``ModelParams.effective_hurst``, 1/2 on a classical row.
 
     ``q`` and ``q_and_g`` share one Q evaluator, ``_regularized_upper_gamma``,
     so they give the same Q bit for bit.
@@ -169,7 +182,7 @@ class FirstPassageLaw:
     def of(cls, params: Sequence[ModelParams]) -> "FirstPassageLaw":
         r = _column([p.r for p in params])
         two_a = 2.0 - _column([p.alpha for p in params])
-        hurst = _column([p.hurst for p in params])
+        hurst = _column([p.effective_hurst for p in params])
         zero_rate = r < R_ZERO_TOL
         # a finite parameter may overflow lambda, k or beta^2; phi and Q then
         # take their limits, or turn NaN (see the class docstring)
@@ -299,11 +312,12 @@ def phi_quadrature(t: float, params: ModelParams) -> float:
 
     two_a = 2.0 - params.alpha
     lam = two_a * params.r
+    hurst = params.effective_hurst
     # numpy scalars overflow to inf (and phi with them) where Python floats raise
     with np.errstate(over="ignore", invalid="ignore"):
         scale = float(np.float64(params.sigma0) ** 2 * np.float64(params.s0) ** two_a * two_a ** 2)
-        beta_sq_h = float(np.float64(params.beta) ** 2 * params.hurst)
-    power = 2.0 * params.hurst - 1.0  # > 0, so u^power is finite at u = 0
+        beta_sq_h = float(np.float64(params.beta) ** 2 * hurst)
+    power = 2.0 * hurst - 1.0  # >= 0, so u^power is finite at u = 0
 
     def integrand(u: float) -> float:
         return scale * (0.5 + beta_sq_h * u ** power) * math.exp(-lam * u)

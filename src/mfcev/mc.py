@@ -104,7 +104,7 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
     dt = cfg.horizon / cfg.n_steps
     tgrid = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        dv = np.diff(tgrid + beta ** 2 * tgrid ** (2.0 * params.hurst))
+        dv = np.diff(tgrid + beta ** 2 * tgrid ** (2.0 * params.effective_hurst))
         # Units with s0 = 1: x0 = 1 and delta^2 = sigma0^2.
         adt = two_a * params.r * dt
         # B(t) dt and 2 C(t) dt integrate exactly to these multiples of dv.

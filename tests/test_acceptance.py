@@ -28,8 +28,7 @@ MATURITIES = [1.0, 2.0, 5.0, 10.0]
 
 
 def benchmark_params(alpha, beta, hurst):
-    return ModelParams(r=0.05, sigma0=0.2, alpha=alpha, beta=beta,
-                       hurst=hurst if hurst is not None else 0.8, s0=50.0)
+    return ModelParams(r=0.05, sigma0=0.2, alpha=alpha, beta=beta, hurst=hurst, s0=50.0)
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:

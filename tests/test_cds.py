@@ -95,7 +95,7 @@ class TestPremiumAnnuity:
     @pytest.mark.parametrize("beta,hurst", [(0.0, None), (1.0, 0.9)])
     @pytest.mark.parametrize("maturity", [1.0, 10.0])
     def test_bounds(self, fig_params, beta, hurst, maturity):
-        p = fig_params(alpha=-2.0, beta=beta, hurst=hurst or 0.8)
+        p = fig_params(alpha=-2.0, beta=beta, hurst=hurst)
         annuity = premium_annuity(CdsContract(maturity=maturity, recovery=0.5), p)
         assert 0.0 < annuity <= maturity
 
@@ -108,7 +108,7 @@ class TestCdsSpread:
         (0.0, 0.0, None, 10.0, 22.0907),
     ])
     def test_benchmark_cells(self, fig_params, alpha, beta, hurst, maturity, ref):
-        p = fig_params(alpha=alpha, beta=beta, hurst=hurst or 0.8)
+        p = fig_params(alpha=alpha, beta=beta, hurst=hurst)
         spread = cds_spread(CdsContract(maturity=maturity, recovery=0.5), p)
         assert abs(spread - ref) <= table1_tolerance(ref)
 
@@ -203,23 +203,21 @@ class TestSpreadTable:
         assert cells[0].spread_bps == pytest.approx(direct, rel=1e-12)
         assert cells[0].error is None
 
-    def test_cell_failure_is_captured(self, fig_params):
-        cells = spread_table(fig_params(), [2.5], [(0.5, 0.8)], [1.0])
-        assert len(cells) == 1
-        assert math.isnan(cells[0].spread_bps)
-        assert "alpha" in cells[0].error
-
+    # terms: where each case departs from the benchmark grid, model inputs included
     @pytest.mark.parametrize("field,maturities,terms", [
         ("maturity", [1.0, -1.0], {}),
         ("recovery", [1.0, 2.0], dict(recovery=1.5)),
         ("payments_per_year", [1.0, 2.0], dict(payments_per_year=0)),
+        ("alpha", [1.0, 2.0], dict(alphas=[0.0, 2.5])),
+        ("hurst", [1.0, 2.0], dict(betas_hursts=BETAS_HURSTS + [(0.5, None)])),
     ])
     def test_bad_contract_terms_raise_before_pricing(self, fig_params, monkeypatch,
                                                      field, maturities, terms):
         priced = []
         monkeypatch.setattr(cds, "_price_batch", lambda *args: priced.append(args))
+        grid = dict(alphas=[0.0, -2.0], betas_hursts=self.BETAS_HURSTS, maturities=maturities)
         with pytest.raises(ParameterError) as err:
-            spread_table(fig_params(), [0.0, -2.0], self.BETAS_HURSTS, maturities, **terms)
+            spread_table(fig_params(), **{**grid, **terms})
         assert err.value.constraint == field
         assert priced == []
 
@@ -232,7 +230,7 @@ class TestSpreadTable:
             "import json\n"
             "from mfcev.cds import spread_table\n"
             "from mfcev.core import ModelParams\n"
-            "base = ModelParams(r=0.05, sigma0=0.2, alpha=0, beta=0, hurst=0.8, s0=50)\n"
+            "base = ModelParams(r=0.05, sigma0=0.2, alpha=0, beta=0, hurst=None, s0=50)\n"
             "cells = spread_table(base, [0, -2], [(0.0, None), (0.5, 0.8)] * 6, [1, 2, 5, 10])\n"
             "print(json.dumps([[c.alpha, c.beta, c.hurst, c.maturity, c.spread_bps]"
             " for c in cells]))\n")
@@ -243,15 +241,15 @@ class TestSpreadTable:
         cells = json.loads(proc.stdout)
         assert len(cells) == 96
         for alpha, beta, hurst, maturity, spread in cells:
-            params = ModelParams(r=0.05, sigma0=0.2, alpha=alpha, beta=beta,
-                                 hurst=hurst if hurst is not None else 0.8, s0=50)
+            params = ModelParams(r=0.05, sigma0=0.2, alpha=alpha, beta=beta, hurst=hurst, s0=50)
             direct = cds_spread(CdsContract(maturity=maturity, recovery=0.5), params)
             assert spread == pytest.approx(direct, rel=1e-12)
 
     def test_batches_keep_grid_order(self, fig_params, monkeypatch):
-        # 45 cells, 30 of them priced in batches of 7; alpha = 2.5 fails
-        # validation in every third cell, so failures sit between batches
-        alphas, maturities = [0.0, -2.0, 2.5], [1.0, 2.0, 5.0]
+        # 30 cells priced in batches of 7; capped at 8 panels, every cell at
+        # T = 100 fails to converge, so failures sit within and between batches
+        alphas, maturities = [0.0, -2.0], [1.0, 5.0, 100.0]
+        monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)
 
         def key(cell):
             spread = None if math.isnan(cell.spread_bps) else cell.spread_bps
@@ -264,17 +262,16 @@ class TestSpreadTable:
         grid = [(b, h, t, a) for b, h in self.BETAS_HURSTS for t in maturities for a in alphas]
         assert [(c.beta, c.hurst, c.maturity, c.alpha) for c in cells] == grid
         for cell in cells:
-            if cell.alpha == 2.5:
-                assert math.isnan(cell.spread_bps) and "alpha" in cell.error
+            contract = CdsContract(maturity=cell.maturity, recovery=0.5)
+            params = fig_params(alpha=cell.alpha, beta=cell.beta, hurst=cell.hurst)
+            if cell.maturity == 100.0:
+                assert math.isnan(cell.spread_bps)
+                with pytest.raises(QuadratureError) as err:
+                    cds_spread(contract, params)
+                assert cell.error == str(err.value)
                 continue
             assert cell.error is None
-            params = fig_params(alpha=cell.alpha, beta=cell.beta, hurst=cell.hurst or 0.8)
-            assert cell.spread_bps == cds_spread(
-                CdsContract(maturity=cell.maturity, recovery=0.5), params)
-
-    def test_missing_hurst_rejected_for_fractional_rows(self, fig_params):
-        with pytest.raises(ParameterError):
-            spread_table(fig_params(), [0.0], [(0.5, None)], [1.0])
+            assert cell.spread_bps == cds_spread(contract, params)
 
 
 class TestDefaultCurve:

@@ -356,6 +356,25 @@ class TestScenarioFile:
         code, _, err = run_cli(capsys, "spread", "--scenario", str(scenario))
         assert code == 2 and "alpha" in err
 
+    def test_non_utf8_file_is_named(self, tmp_path):
+        # a subprocess, so that a traceback would reach its stderr
+        scenario = tmp_path / "utf16.scn"
+        scenario.write_bytes(b"\xff\xfealpha = 1\n")
+        proc = run_module("spread", "--scenario", str(scenario))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert str(scenario) in proc.stderr
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        text = ("alpha = -2\nbeta = 1\nhurst = 0.9\nsigma0 = 0.2\nrate = 0.05\n"
+                "recovery = 0.5\nmaturity = 1\n")
+        plain, marked = tmp_path / "plain.scn", tmp_path / "marked.scn"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        runs = [run_cli(capsys, "spread", "--scenario", str(path)) for path in (plain, marked)]
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert runs[0] == runs[1] == (0, "121.0740\n", "")
+
 
 @pytest.mark.parametrize("argv,constraint", [
     (["curve", "--alpha=-inf", "--sigma0=0.2", "--rate=0.05", "--tmax=1", "--points=3",

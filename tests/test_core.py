@@ -20,6 +20,9 @@ class TestModelParams:
         p = ModelParams(r=0.05, sigma0=0.2, alpha=0.0, beta=0.5, hurst=0.8, s0=50.0)
         assert (p.r, p.sigma0, p.alpha, p.beta, p.hurst, p.s0) == (0.05, 0.2, 0.0, 0.5, 0.8, 50.0)
 
+    def test_classical_point_needs_no_hurst(self):
+        assert ModelParams(r=0.05, sigma0=0.2, alpha=0.0, beta=0.0, hurst=None).hurst is None
+
     @pytest.mark.parametrize("field,kwargs", [
         ("alpha", dict(alpha=2.0)),
         ("alpha", dict(alpha=2.5)),
@@ -39,6 +42,8 @@ class TestModelParams:
         ("s0", dict(s0=math.inf)),
         ("alpha", dict(alpha=-1000.5)),
         ("alpha", dict(alpha=-1e155)),
+        ("hurst", dict(beta=0.5, hurst=None)),
+        ("beta", dict(beta=math.nan, hurst=None)),
     ])
     def test_each_constraint_is_named(self, field, kwargs):
         base = dict(r=0.05, sigma0=0.2, alpha=0.0, beta=0.5, hurst=0.8, s0=50.0)

@@ -1,18 +1,25 @@
 """Property tests over the whole parameter domain that ModelParams accepts.
 
 Every accepted input must either price, or fail with a documented error and
-exit code; Q is checked against a scipy oracle in units with s0 = 1.
+exit code; Q is checked against a scipy oracle in units with s0 = 1.  A
+classical row (beta = 0) gives the same bits with or without a Hurst exponent.
 """
 
 import contextlib
 import io
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfcev import cds
 from mfcev.cli import main
-from mfcev.core import ModelParams, default_probability
+from mfcev.core import (FirstPassageLaw, ModelParams, default_probability, phi_closed,
+                        phi_quadrature)
+from mfcev.errors import NumericalError
+from mfcev.mc import McConfig, simulate_fpt
 
 from reference import default_probability_reference
 
@@ -59,3 +66,38 @@ def test_cli_exit_codes(alpha, hurst, beta, r, maturity, sigma0):
     code, out, err = run_quietly(["spread", *model, f"--beta={beta!r}", f"--hurst={hurst!r}",
                                   "--recovery=0.4", f"--maturity={maturity!r}"])
     assert code in PRICING_EXIT_CODES, err
+
+
+def outcome(view, params):
+    """view(params) as exact bytes, or the type and message of the NumericalError it raises."""
+    try:
+        return pickle.dumps(view(params))
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**{name: DOMAIN[name] for name in ("alpha", "hurst", "r", "maturity", "sigma0")})
+def test_classical_rows_ignore_hurst(alpha, hurst, r, maturity, sigma0):
+    # at beta = 0 every term that holds H is multiplied by zero, so leaving
+    # H out gives the same bits as any H the model accepts
+    without, with_hurst = (ModelParams(r=r, sigma0=sigma0, alpha=alpha, beta=0.0, hurst=h,
+                                       s0=50.0) for h in (None, hurst))
+    times = maturity * np.array([0.01, 0.1, 0.5, 1.0])
+    contract = cds.CdsContract(maturity=maturity, recovery=0.4)
+    cfg = McConfig(n_paths=200, n_steps=20, horizon=maturity, seed=7)
+
+    def price(p):
+        leg, annuity, errors = cds._price_batch([p], [contract])
+        return leg, annuity, [None if e is None else (type(e), str(e)) for e in errors]
+
+    views = {
+        "default_probability": lambda p: default_probability(maturity, p),
+        "q_and_g": lambda p: FirstPassageLaw.of([p]).q_and_g(times),
+        "_price_batch": price,
+        "phi_closed": lambda p: phi_closed(maturity, p),
+        "phi_quadrature": lambda p: phi_quadrature(maturity, p),
+        "simulate_fpt": lambda p: simulate_fpt(p, cfg),
+    }
+    for name, view in views.items():
+        assert outcome(view, without) == outcome(view, with_hurst), name
