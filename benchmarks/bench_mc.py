@@ -10,6 +10,11 @@ Three rates, each in requested path-steps (n_paths x n_steps) per second:
                   looks it up
     simulate_fpt  the whole simulation, unwrapped
 
+``simulate_fpt`` draws the normals on a worker thread, ahead of the step
+kernel on the calling thread, so with a second core free its time comes
+close to the draws alone: ``simulate_fpt_over_draw`` is the ratio of the
+two medians, 1 where the step is fully hidden behind the draws.
+
 Each figure is the median of ``--repeat`` rounds; a round times the three
 layers in turn on the same seed.  The step layer also reports the
 path-steps it actually advanced.  Run as
@@ -98,6 +103,7 @@ def measure(cfg: McConfig, repeat: int) -> dict:
         "draw": layer(draw),
         "step": {**layer(step), "live_path_steps": stepped},
         "simulate_fpt": layer(end_to_end),
+        "simulate_fpt_over_draw": statistics.median(end_to_end) / statistics.median(draw),
         "meta": {"python": platform.python_version(), "numpy": np.__version__,
                  "nproc": os.cpu_count()},
     }
@@ -124,6 +130,7 @@ def main() -> int:
         r = result[name]
         print(f"  {name:<12} : {r['s']:8.3f} s   {r['path_steps_per_s'] / 1e6:7.1f} M path-steps/s")
     print(f"  live path-steps stepped: {result['step']['live_path_steps']}")
+    print(f"  simulate_fpt / draw: {result['simulate_fpt_over_draw']:.3f}")
     return 0
 
 

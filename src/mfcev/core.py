@@ -226,7 +226,9 @@ class FirstPassageLaw:
         # ufunc's where= over a 2-D array corrupts the heap)
         frac = gammainc(self.two_h, lam * t)
         if self.zero_rate.any():
-            frac = np.where(self.zero_rate, np.power(t, self.two_h), frac)
+            # t^(2H) = inf at huge t gives phi = inf, so Q = 1
+            with np.errstate(over="ignore"):
+                frac = np.where(self.zero_rate, np.power(t, self.two_h), frac)
         return self.k * (decay + self.frac_coef * frac)
 
     def _inverse_phi(self, t) -> np.ndarray:

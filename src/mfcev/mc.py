@@ -23,6 +23,14 @@ same seed share their noise (coupled comparisons).  Each step draws one
 normal for every path, live or not, and ``_mc_fallback.step_paths``
 advances only the live ones.
 
+The draws take most of a simulation's time, so ``simulate_fpt`` hands them
+to one worker thread that owns the generator.  It draws the steps in order,
+at most ``DRAW_LOOKAHEAD`` steps ahead of the step kernel, which runs on the
+calling thread while numpy's draw releases the interpreter lock.  The draw
+layout, and so every default time, is the same as one thread drawing
+before each step.  The worker is joined before ``simulate_fpt`` returns or
+raises, and an error in a draw is raised in the caller.
+
 ``simulate_fpt`` returns the default times.  The estimators read them:
 ``default_probability_estimate`` gives the binomial default probability
 and ``spread_estimate`` the CDS spread, so one simulation serves both.
@@ -32,6 +40,8 @@ and ``spread_estimate`` the CDS spread, so one simulation serves both.
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +55,9 @@ MAX_PATH_STEPS = 2_000_000_000
 
 #: number of contiguous path batches used for spread standard errors
 SPREAD_BATCHES = 20
+
+#: steps whose normals the draw thread may hold ready ahead of the step kernel
+DRAW_LOOKAHEAD = 2
 
 
 def have_compiled_kernel() -> bool:
@@ -120,14 +133,22 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
     work = np.empty(n)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
 
-    n_alive = n
-    for k in range(cfg.n_steps):
-        z = rng.standard_normal(n)
-        n_alive = _mc_fallback.step_paths(x[:n_alive], index[:n_alive], default_time, z,
-                                          adt, float(b_steps[k]), float(csd_steps[k]),
-                                          float(tgrid[k + 1]), work)
-        if n_alive == 0:
-            break
+    drawer = ThreadPoolExecutor(max_workers=1)
+    try:
+        ahead = deque(drawer.submit(rng.standard_normal, n)
+                      for _ in range(min(DRAW_LOOKAHEAD, cfg.n_steps)))
+        n_alive = n
+        for k in range(cfg.n_steps):
+            z = ahead.popleft().result()
+            if k + DRAW_LOOKAHEAD < cfg.n_steps:
+                ahead.append(drawer.submit(rng.standard_normal, n))
+            n_alive = _mc_fallback.step_paths(x[:n_alive], index[:n_alive], default_time, z,
+                                              adt, float(b_steps[k]), float(csd_steps[k]),
+                                              float(tgrid[k + 1]), work)
+            if n_alive == 0:
+                break
+    finally:
+        drawer.shutdown(cancel_futures=True)
     return default_time
 
 

@@ -38,3 +38,4 @@ def test_bench_mc():
     assert 0 < result["step"]["live_path_steps"] <= 20000
     for layer in ("draw", "step", "simulate_fpt"):
         assert result[layer]["path_steps_per_s"] > 0.0
+    assert result["simulate_fpt_over_draw"] > 0.0

@@ -231,7 +231,15 @@ class TestCurveCommand:
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout == "t,q\n0,0\n0.5,0\n1,0\n"
 
-    @pytest.mark.parametrize("alpha", ["-1e100", "-1e150", "-1e155", "-1000.5"])
+    def test_zero_rate_power_overflow_prints_ones(self):
+        # at r = 0 the fractional term t^(2H) overflows; phi = inf and Q = 1,
+        # with no numpy overflow warning on stderr
+        proc = run_module("curve", "--alpha=0", "--sigma0=0.2", "--rate=0", "--beta=1",
+                          "--hurst=0.8", "--tmax=1e300", "--points=3")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "t,q\n0,0\n5e+299,1\n1e+300,1\n"
+
+    @pytest.mark.parametrize("alpha",["-1e100", "-1e150", "-1e155", "-1000.5"])
     def test_alpha_below_minus_1000_exits_2(self, capsys, alpha):
         # Q's accuracy is stated down to alpha = -1000; far below it Q came
         # out wrong (a negative probability at -1e150)

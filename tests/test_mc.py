@@ -1,4 +1,5 @@
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from mfcev import _mc_fallback
 from mfcev.cds import CdsContract, cds_spread
-from mfcev.core import default_probability
+from mfcev.core import ModelParams, default_probability
 from mfcev.errors import NumericalError, ParameterError
 from mfcev.mc import (MAX_PATH_STEPS, McConfig, mc_cds_spread,
                       mc_default_probability, simulate_fpt)
@@ -107,6 +108,79 @@ class TestSimulateFpt:
         fine = mc_default_probability(
             p, McConfig(n_paths=50000, n_steps=400, horizon=2.0, seed=13))
         assert abs(fine.estimate - analytic) < abs(coarse.estimate - analytic)
+
+
+class TestDrawThread:
+    """The normals are drawn on a worker thread; none outlives the call."""
+
+    CFG = McConfig(n_paths=2000, n_steps=50, horizon=1.0, seed=21)
+
+    def test_no_thread_left_after_return(self, fig_params):
+        before = threading.active_count()
+        times = simulate_fpt(fig_params(alpha=-2.0), self.CFG)
+        assert threading.active_count() == before
+        assert np.isnan(times).any()
+
+    def test_early_exit_matches_sequential_draws(self, monkeypatch):
+        # every path dies well before the horizon, so the loop stops early;
+        # its default times equal a loop drawing standard_normal(n) per step
+        doomed = ModelParams(r=0.0, sigma0=500.0, alpha=1.9, beta=0.0, hurst=None, s0=1.0)
+        step = _mc_fallback.step_paths
+        coefficients = []
+
+        def spy(x, index, default_time, z, adt, b, csd, t_next, work):
+            coefficients.append((adt, b, csd, t_next))
+            return step(x, index, default_time, z, adt, b, csd, t_next, work)
+
+        before = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(_mc_fallback, "step_paths", spy)
+            times = simulate_fpt(doomed, self.CFG)
+        assert threading.active_count() == before
+        assert 0 < len(coefficients) < self.CFG.n_steps
+
+        n = self.CFG.n_paths
+        rng = np.random.Generator(np.random.Philox(self.CFG.seed))
+        x, index, expected, work = np.ones(n), np.arange(n), np.full(n, np.nan), np.empty(n)
+        n_alive = n
+        for adt, b, csd, t_next in coefficients:
+            n_alive = step(x[:n_alive], index[:n_alive], expected, rng.standard_normal(n),
+                           adt, b, csd, t_next, work)
+        assert n_alive == 0
+        assert np.array_equal(times, expected)
+
+    def test_step_error_reaches_caller(self, monkeypatch, fig_params):
+        step = _mc_fallback.step_paths
+        calls = 0
+
+        def failing(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise FloatingPointError("step 3")
+            return step(*args)
+
+        before = threading.active_count()
+        monkeypatch.setattr(_mc_fallback, "step_paths", failing)
+        with pytest.raises(FloatingPointError, match="step 3"):
+            simulate_fpt(fig_params(alpha=-2.0), self.CFG)
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_caller(self, monkeypatch, fig_params):
+        class FailingGenerator(np.random.Generator):
+            draws = 0
+
+            def standard_normal(self, *args):
+                FailingGenerator.draws += 1
+                if FailingGenerator.draws == 3:
+                    raise MemoryError("draw 3")
+                return super().standard_normal(*args)
+
+        before = threading.active_count()
+        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+        with pytest.raises(MemoryError, match="draw 3"):
+            simulate_fpt(fig_params(alpha=-2.0), self.CFG)
+        assert threading.active_count() == before
 
 
 class TestStepKernels:
