@@ -16,8 +16,9 @@ close to the draws alone: ``simulate_fpt_over_draw`` is the ratio of the
 two medians, 1 where the step is fully hidden behind the draws.
 
 Each figure is the median of ``--repeat`` rounds; a round times the three
-layers in turn on the same seed.  The step layer also reports the
-path-steps it actually advanced.  Run as
+layers in turn on the same seed.  The step runs over every path's slot, the
+absorbed ones included, so the step layer also reports its live path-steps:
+the paths alive before each step (its ``n_alive`` argument), summed.  Run as
 
     python benchmarks/bench_mc.py [--paths N] [--steps N] [--repeat N] [--json]
 """
@@ -58,14 +59,14 @@ def time_steps(cfg: McConfig) -> tuple[float, int]:
     spent = 0.0
     stepped = 0
 
-    def timed(x, *args):
+    def timed(*args):
         nonlocal spent, stepped
         start = time.perf_counter()
         try:
-            return original(x, *args)
+            return original(*args)
         finally:
             spent += time.perf_counter() - start
-            stepped += x.size
+            stepped += args[-1]     # n_alive: the paths alive before the step
 
     _mc_fallback.step_paths = timed
     try:

@@ -1,12 +1,11 @@
 """The Monte-Carlo stepping kernel, in numpy.
 
-Only live paths are stepped.  The caller keeps their states and original
-path numbers in the leading part of two arrays; each step updates the
-states in place, records the paths absorbed on that step and moves the
-survivors from the tail into the slots they left, so the live set stays
-contiguous.  Every path's arithmetic is the same sequence of IEEE
-operations whatever the live set is, so a path's default time depends
-only on its own draws.
+Each path keeps its own slot, and each step updates every slot in place.
+A path absorbed on a step has its state set to NaN; every later step
+carries the NaN through unchanged, and NaN <= 0 is false, so a path is
+absorbed once.  A live path's arithmetic is the same sequence of IEEE
+operations whatever the other paths do, so its default time depends only
+on its own draws.
 """
 
 from __future__ import annotations
@@ -14,28 +13,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def step_paths(x: np.ndarray, index: np.ndarray, default_time: np.ndarray,
-               z: np.ndarray, adt: float, b: float, csd: float,
-               t_next: float, work: np.ndarray) -> int:
-    """Advance the live paths one Euler step; absorb at the first nonpositive state.
+def step_paths(x: np.ndarray, default_time: np.ndarray, z: np.ndarray, adt: float,
+               b: float, csd: float, t_next: float, work: np.ndarray, n_alive: int) -> int:
+    """Advance every path one Euler step; absorb at the first nonpositive state.
 
-    x             states of the live paths (all > 0), updated in place
-    index         path number of each live path, permuted along with x
-    default_time  per path number: grid time of absorption, NaN until then
-    z             this step's standard normal draw for every path number;
-                  overwritten
+    x             state per path: > 0 while alive, NaN once absorbed; updated in place
+    default_time  per path: grid time of absorption, NaN until then
+    z             this step's standard normal draw per path; overwritten
     adt           A * dt, the linear-drift increment factor
     b             constant drift increment over the step
     csd           diffusion scale: (2-alpha) * delta * sqrt(dv)
     t_next        right endpoint of the step, recorded as the default time
-    work          scratch space of at least x.size doubles
+    work          scratch space of x.size doubles
+    n_alive       number of paths alive before the step
 
     Each state becomes ((x + adt x) + b) + ((csd sqrt(x)) z).  Returns the
-    number m of paths still alive; they are now x[:m] and index[:m].
+    number of paths still alive.
     """
-    n = x.size
-    z = z[index] if n < z.size else z
-    work = work[:n]
     np.sqrt(x, out=work)
     work *= csd
     z *= work
@@ -43,14 +37,10 @@ def step_paths(x: np.ndarray, index: np.ndarray, default_time: np.ndarray,
     x += work
     x += b
     x += z
-    if x.min() > 0.0:
-        return n
+    # fmin skips the NaN of absorbed paths
+    if np.fmin.reduce(x) > 0.0:
+        return n_alive
     absorbed = x <= 0.0
-    dead = np.flatnonzero(absorbed)
-    default_time[index[dead]] = t_next
-    m = n - dead.size
-    holes = dead[dead < m]
-    movers = m + np.flatnonzero(~absorbed[m:])
-    x[holes] = x[movers]
-    index[holes] = index[movers]
-    return m
+    default_time[absorbed] = t_next
+    x[absorbed] = np.nan
+    return n_alive - int(np.count_nonzero(absorbed))

@@ -43,13 +43,20 @@ BASE_PANELS = 4
 MAX_PANELS = 1024
 #: cells per array pass, which bounds the memory a long grid takes
 BATCH_CELLS = 256
+#: premium dates per contract, ceil(maturity * payments_per_year).  The kernel
+#: holds about 72 bytes per date and cell, so a full batch of BATCH_CELLS
+#: cells at the cap takes about 370 MB.
+MAX_PREMIUM_DATES = 20_000
+#: samples per default curve, at about 270 bytes each with the CLI's CSV
+#: line, so a curve at the cap takes about 270 MB
+MAX_CURVE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
 class CdsContract:
     """Plain-vanilla CDS terms: maturity in years, recovery fraction,
     notional, and number of premium payments per year (accrual fraction
-    1/payments_per_year each)."""
+    1/payments_per_year each), at most MAX_PREMIUM_DATES dates in all."""
 
     maturity: float
     recovery: float
@@ -71,6 +78,12 @@ class CdsContract:
             raise ParameterError("payments_per_year",
                                  f"payments_per_year must be a positive integer, "
                                  f"got {self.payments_per_year}")
+        # a quotient, so a huge integer payments_per_year is never made a float
+        if self.payments_per_year > MAX_PREMIUM_DATES / self.maturity:
+            raise ParameterError("payments_per_year",
+                                 f"maturity {self.maturity} x payments_per_year "
+                                 f"{self.payments_per_year} exceeds the cap of "
+                                 f"{MAX_PREMIUM_DATES} premium dates")
 
     def payment_times(self) -> list[float]:
         """Premium dates 1/freq, 2/freq, ..., up to the first at or past the maturity."""
@@ -294,11 +307,15 @@ def spread_table(params_base: ModelParams,
 
 
 def default_curve(params: ModelParams, t_max: float, n_points: int) -> list[CurvePoint]:
-    """Default probability sampled on a uniform grid over [0, t_max]."""
+    """Default probability sampled on a uniform grid of n_points times over [0, t_max].
+
+    n_points may not exceed MAX_CURVE_POINTS.
+    """
     if not 0.0 < t_max < math.inf:
         raise ParameterError("t_max", f"t_max must be finite and > 0, got {t_max}")
-    if n_points < 2:
-        raise ParameterError("n_points", f"n_points must be >= 2, got {n_points}")
+    if not 2 <= n_points <= MAX_CURVE_POINTS:
+        raise ParameterError("n_points", f"n_points must lie in [2, {MAX_CURVE_POINTS}], "
+                                         f"got {n_points}")
     step = t_max / (n_points - 1)
     times = [t_max if i == n_points - 1 else i * step for i in range(n_points)]
     qs = FirstPassageLaw.of([params]).q(np.array(times))[0]

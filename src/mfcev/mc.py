@@ -21,7 +21,8 @@ master seed with a fixed step-major draw layout, so results depend only on
 (seed, n_paths, n_steps) and runs with different model parameters but the
 same seed share their noise (coupled comparisons).  Each step draws one
 normal for every path, live or not, and ``_mc_fallback.step_paths``
-advances only the live ones.
+advances every path in its own slot; an absorbed path's state is NaN, which
+no later step reads as a default.
 
 The draws take most of a simulation's time, so ``simulate_fpt`` hands them
 to one worker thread that owns the generator.  It draws the steps in order,
@@ -52,6 +53,13 @@ from .errors import NumericalError, ParameterError
 
 #: hard cap on n_paths * n_steps per simulation
 MAX_PATH_STEPS = 2_000_000_000
+#: paths per simulation; ``mfcev validate`` holds about 50 bytes per path
+#: (states, default times, scratch, the draws in flight and the estimators'
+#: arrays), so a simulation at the cap takes about 500 MB
+MAX_PATHS = 10_000_000
+#: steps per simulation, at about 40 bytes each (the grid, the variance clock
+#: and the step coefficients), so a grid at the cap takes about 400 MB
+MAX_STEPS = 10_000_000
 
 #: number of contiguous path batches used for spread standard errors
 SPREAD_BATCHES = 20
@@ -68,7 +76,11 @@ def have_compiled_kernel() -> bool:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation controls: path count, uniform grid size on [0, horizon], master seed."""
+    """Simulation controls: path count, uniform grid size on [0, horizon], master seed.
+
+    n_paths and n_steps are capped at MAX_PATHS and MAX_STEPS, and their
+    product at MAX_PATH_STEPS.
+    """
 
     n_paths: int
     n_steps: int
@@ -76,10 +88,12 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ParameterError("n_paths", f"n_paths must be >= 1, got {self.n_paths}")
-        if self.n_steps < 1:
-            raise ParameterError("n_steps", f"n_steps must be >= 1, got {self.n_steps}")
+        if not 1 <= self.n_paths <= MAX_PATHS:
+            raise ParameterError("n_paths",
+                                 f"n_paths must lie in [1, {MAX_PATHS}], got {self.n_paths}")
+        if not 1 <= self.n_steps <= MAX_STEPS:
+            raise ParameterError("n_steps",
+                                 f"n_steps must lie in [1, {MAX_STEPS}], got {self.n_steps}")
         if not 0.0 < self.horizon < math.inf:
             raise ParameterError("horizon",
                                  f"horizon must be finite and > 0, got {self.horizon}")
@@ -128,7 +142,6 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
                              "the diffusion scale (2-alpha) sigma0 sqrt(dv) left the double range")
 
     x = np.ones(n)
-    index = np.arange(n)
     default_time = np.full(n, np.nan)
     work = np.empty(n)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
@@ -142,9 +155,9 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
             z = ahead.popleft().result()
             if k + DRAW_LOOKAHEAD < cfg.n_steps:
                 ahead.append(drawer.submit(rng.standard_normal, n))
-            n_alive = _mc_fallback.step_paths(x[:n_alive], index[:n_alive], default_time, z,
-                                              adt, float(b_steps[k]), float(csd_steps[k]),
-                                              float(tgrid[k + 1]), work)
+            n_alive = _mc_fallback.step_paths(x, default_time, z, adt, float(b_steps[k]),
+                                              float(csd_steps[k]), float(tgrid[k + 1]), work,
+                                              n_alive)
             if n_alive == 0:
                 break
     finally:

@@ -37,6 +37,17 @@ class TestCdsContract:
             CdsContract(**base)
         assert err.value.constraint == field
 
+    def test_premium_date_cap(self):
+        # ceil(maturity * freq) may reach MAX_PREMIUM_DATES, not pass it; a
+        # freq too large for a float is rejected, not converted
+        per_year = cds.MAX_PREMIUM_DATES // 10
+        dates = CdsContract(maturity=10.0, recovery=0.5, payments_per_year=per_year)
+        assert len(dates.payment_times()) == cds.MAX_PREMIUM_DATES
+        for freq in (per_year + 1, 10 ** 400):
+            with pytest.raises(ParameterError) as err:
+                CdsContract(maturity=10.0, recovery=0.5, payments_per_year=freq)
+            assert err.value.constraint == "payments_per_year"
+
     def test_payment_dates(self):
         assert CdsContract(maturity=1.0, recovery=0.5).payment_times() == [0.5, 1.0]
         assert CdsContract(maturity=10.0, recovery=0.5).payment_times()[-1] == 10.0
@@ -300,6 +311,9 @@ class TestDefaultCurve:
             default_curve(fig_params(), 5.0, 1)
         with pytest.raises(ParameterError):
             default_curve(fig_params(), math.inf, 10)
+        with pytest.raises(ParameterError) as err:
+            default_curve(fig_params(), 5.0, cds.MAX_CURVE_POINTS + 1)
+        assert err.value.constraint == "n_points"
 
 
 class TestFailureContract:

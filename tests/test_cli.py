@@ -1,4 +1,5 @@
 import math
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +15,12 @@ DATA = Path(__file__).resolve().parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_module(*argv):
+def run_module(*argv, **kwargs):
     """Run ``python -m mfcev`` in a fresh interpreter, so that any numpy
     warning reaches its stderr."""
     return subprocess.run([sys.executable, "-m", "mfcev", *argv], capture_output=True, text=True,
-                          env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
+                          env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+                          **kwargs)
 
 SPREAD_FLAGS = ["--alpha", "-2", "--beta", "1", "--hurst", "0.9",
                 "--sigma0", "0.2", "--rate", "0.05",
@@ -421,6 +423,32 @@ def test_out_of_range_inputs_write_one_error_line(argv):
     assert proc.stderr == ("error: numerical failure: premium annuity underflowed to zero "
                            "(certain default before the first payment date); the running "
                            "spread is undefined\n")
+
+
+def cap_address_space():
+    """Cap the child's address space at 2 GB, so an oversized allocation
+    fails at once instead of filling the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+
+MODEL_RUN = ["--alpha=-2", "--beta=0.5", "--hurst=0.8", "--sigma0=0.2", "--rate=0.05"]
+
+
+@pytest.mark.parametrize("argv,constraint", [
+    (["spread", *MODEL_RUN, "--recovery=0.5", "--maturity=10", "--freq=1000000000000"],
+     "payments_per_year"),
+    (["curve", *MODEL_RUN, "--tmax=1", "--points=1000000000000"], "n_points"),
+    (["validate", *MODEL_RUN, "--maturity=2", "--paths=1000000000", "--steps=2", "--seed=1"],
+     "n_paths"),
+    (["validate", *MODEL_RUN, "--maturity=2", "--paths=1", "--steps=2000000000", "--seed=1"],
+     "n_steps"),
+], ids=["premium-dates", "curve-points", "paths", "steps"])
+def test_oversized_inputs_exit_2(argv, constraint):
+    # each asked numpy or a list for gigabytes to terabytes before its cap
+    proc = run_module(*argv, preexec_fn=cap_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: invalid parameter '{constraint}': ")
+    assert proc.stderr.count("\n") == 1
 
 
 #: per command, every flag it requires, with a value that runs; curve also

@@ -69,9 +69,9 @@ class TestEffectiveCoefficients:
         calls = []
         step = _mc_fallback.step_paths
 
-        def spy(x, index, default_time, z, adt, b, csd, t_next, work):
+        def spy(x, default_time, z, adt, b, csd, t_next, work, n_alive):
             calls.append((x.copy() if not calls else None, adt, b, csd, t_next))
-            return step(x, index, default_time, z, adt, b, csd, t_next, work)
+            return step(x, default_time, z, adt, b, csd, t_next, work, n_alive)
 
         with monkeypatch.context() as patch:
             patch.setattr(_mc_fallback, "step_paths", spy)

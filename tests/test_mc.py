@@ -9,7 +9,7 @@ from mfcev import _mc_fallback
 from mfcev.cds import CdsContract, cds_spread
 from mfcev.core import ModelParams, default_probability
 from mfcev.errors import NumericalError, ParameterError
-from mfcev.mc import (MAX_PATH_STEPS, McConfig, mc_cds_spread,
+from mfcev.mc import (MAX_PATH_STEPS, MAX_PATHS, MAX_STEPS, McConfig, mc_cds_spread,
                       mc_default_probability, simulate_fpt)
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -33,6 +33,8 @@ class TestMcConfig:
         ("horizon", dict(horizon=-1.0)),
         ("horizon", dict(horizon=math.inf)),
         ("horizon", dict(horizon=math.nan)),
+        ("n_paths", dict(n_paths=MAX_PATHS + 1)),
+        ("n_steps", dict(n_steps=MAX_STEPS + 1)),
     ])
     def test_constraints(self, field, kwargs):
         base = dict(n_paths=100, n_steps=10, horizon=1.0, seed=1)
@@ -44,6 +46,10 @@ class TestMcConfig:
     def test_budget(self):
         with pytest.raises(ParameterError):
             McConfig(n_paths=MAX_PATH_STEPS, n_steps=2, horizon=1.0, seed=1)
+        # within both caps, over the product's budget
+        with pytest.raises(ParameterError, match="budget"):
+            McConfig(n_paths=MAX_PATHS, n_steps=MAX_PATH_STEPS // MAX_PATHS + 1,
+                     horizon=1.0, seed=1)
 
 
 class TestSimulateFpt:
@@ -81,7 +87,7 @@ class TestSimulateFpt:
     @pytest.mark.parametrize("label", sorted(VALIDATE_CONFIGS))
     def test_matches_frozen_default_times(self, fig_params, label):
         # frozen from the full-array step with the state in model units;
-        # the live-path step in s0 = 1 units must reproduce every bit
+        # the step in s0 = 1 units must reproduce every bit
         frozen = np.load(DATA / "simulate_fpt.npz")[label]
         cfg = McConfig(n_paths=10000, n_steps=100, horizon=2.0, seed=4242)
         times = simulate_fpt(fig_params(**VALIDATE_CONFIGS[label]), cfg)
@@ -128,9 +134,9 @@ class TestDrawThread:
         step = _mc_fallback.step_paths
         coefficients = []
 
-        def spy(x, index, default_time, z, adt, b, csd, t_next, work):
+        def spy(x, default_time, z, adt, b, csd, t_next, work, n_alive):
             coefficients.append((adt, b, csd, t_next))
-            return step(x, index, default_time, z, adt, b, csd, t_next, work)
+            return step(x, default_time, z, adt, b, csd, t_next, work, n_alive)
 
         before = threading.active_count()
         with monkeypatch.context() as patch:
@@ -141,11 +147,11 @@ class TestDrawThread:
 
         n = self.CFG.n_paths
         rng = np.random.Generator(np.random.Philox(self.CFG.seed))
-        x, index, expected, work = np.ones(n), np.arange(n), np.full(n, np.nan), np.empty(n)
+        x, expected, work = np.ones(n), np.full(n, np.nan), np.empty(n)
         n_alive = n
         for adt, b, csd, t_next in coefficients:
-            n_alive = step(x[:n_alive], index[:n_alive], expected, rng.standard_normal(n),
-                           adt, b, csd, t_next, work)
+            n_alive = step(x, expected, rng.standard_normal(n), adt, b, csd, t_next, work,
+                           n_alive)
         assert n_alive == 0
         assert np.array_equal(times, expected)
 
@@ -186,31 +192,33 @@ class TestDrawThread:
 class TestStepKernels:
     def test_absorbed_paths_stay_absorbed(self):
         x = np.array([1.0, 100.0])
-        index = np.arange(2)
         tdef = np.full(2, np.nan)
         work = np.empty(2)
-        n_alive = _mc_fallback.step_paths(x, index, tdef, np.array([-30.0, 0.1]),
-                                          0.01, 1.0, 2.0, 0.25, work)
+        n_alive = _mc_fallback.step_paths(x, tdef, np.array([-30.0, 0.1]),
+                                          0.01, 1.0, 2.0, 0.25, work, 2)
         assert n_alive == 1
-        assert index[0] == 1 and x[0] > 0.0
+        assert np.isnan(x[0]) and x[1] > 0.0
         assert tdef[0] == 0.25 and np.isnan(tdef[1])
-        # only the live prefix is stepped again: path 0 keeps its default time
-        # whatever its draw, and path 1 reads its own draw
+        # path 0 keeps its default time whatever its draw, and path 1 reads
+        # its own draw
         z = np.array([-30.0, 0.1])
-        x1 = x[0]
-        n_alive = _mc_fallback.step_paths(x[:1], index[:1], tdef, z, 0.01, 1.0, 2.0, 0.5,
-                                          work)
+        x1 = x[1]
+        n_alive = _mc_fallback.step_paths(x, tdef, z, 0.01, 1.0, 2.0, 0.5, work, n_alive)
         assert n_alive == 1
-        assert x[0] == ((x1 + 0.01 * x1) + 1.0) + ((2.0 * math.sqrt(x1)) * 0.1)
+        assert x[1] == ((x1 + 0.01 * x1) + 1.0) + ((2.0 * math.sqrt(x1)) * 0.1)
+        assert tdef[0] == 0.25 and np.isnan(tdef[1])
+        # a positive drift and a large positive draw do not revive it
+        n_alive = _mc_fallback.step_paths(x, tdef, np.array([30.0, 0.1]),
+                                          0.01, 1.0, 2.0, 0.75, work, n_alive)
+        assert n_alive == 1
+        assert np.isnan(x[0]) and x[1] > 0.0
         assert tdef[0] == 0.25 and np.isnan(tdef[1])
 
     def test_crossing_is_recorded_at_right_endpoint(self):
         x = np.array([1.0])
-        index = np.arange(1)
         tdef = np.array([np.nan])
         z = np.array([-30.0])
-        n_alive = _mc_fallback.step_paths(x, index, tdef, z, 0.0, 0.0, 1.0, 0.75,
-                                          np.empty(1))
+        n_alive = _mc_fallback.step_paths(x, tdef, z, 0.0, 0.0, 1.0, 0.75, np.empty(1), 1)
         assert n_alive == 0
         assert tdef[0] == 0.75
 
@@ -222,27 +230,14 @@ class TestStepKernels:
         adt, b, csd = 0.013, 0.0071, 0.37
         expected = ((x0 + adt * x0) + b) + ((csd * np.sqrt(x0)) * z)
         x = x0.copy()
-        index = np.arange(1000)
         tdef = np.full(1000, np.nan)
-        n_alive = _mc_fallback.step_paths(x, index, tdef, z.copy(), adt, b, csd, 1.0,
-                                          np.empty(1000))
-        assert n_alive == np.count_nonzero(expected > 0.0) > 900
-        assert np.array_equal(x[:n_alive], expected[index[:n_alive]])
-        assert np.array_equal(np.isnan(tdef), expected > 0.0)
-
-    def test_survivors_fill_the_holes(self):
-        # paths 1 and 3 die; the survivor 4 moves into hole 1, path 3's slot
-        # is beyond the live prefix, and each state keeps its path number
-        x = np.full(5, 1.0)
-        index = np.arange(5)
-        tdef = np.full(5, np.nan)
-        z = np.array([0.5, -30.0, 0.25, -30.0, 0.125])
-        n_alive = _mc_fallback.step_paths(x, index, tdef, z.copy(), 0.0, 0.0, 1.0, 1.0,
-                                          np.empty(5))
-        assert n_alive == 3
-        assert sorted(index[:3]) == [0, 2, 4]
-        assert np.array_equal(x[:3], 1.0 + z[index[:3]])
-        assert np.isnan(tdef[[0, 2, 4]]).all() and (tdef[[1, 3]] == 1.0).all()
+        n_alive = _mc_fallback.step_paths(x, tdef, z.copy(), adt, b, csd, 1.0,
+                                          np.empty(1000), 1000)
+        alive = expected > 0.0
+        assert n_alive == np.count_nonzero(alive) > 900
+        assert np.array_equal(x[alive], expected[alive])
+        assert np.isnan(x[~alive]).all()
+        assert np.array_equal(np.isnan(tdef), alive)
 
 
 class TestMcDefaultProbability:

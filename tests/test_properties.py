@@ -2,7 +2,9 @@
 
 Every accepted input must either price, or fail with a documented error and
 exit code; Q is checked against a scipy oracle in units with s0 = 1.  A
-classical row (beta = 0) gives the same bits with or without a Hurst exponent.
+classical row (beta = 0) gives the same bits with or without a Hurst exponent,
+and the Monte-Carlo default times are those of a plain loop over the seed's
+draws.
 """
 
 import contextlib
@@ -101,3 +103,44 @@ def test_classical_rows_ignore_hurst(alpha, hurst, r, maturity, sigma0):
     }
     for name, view in views.items():
         assert outcome(view, without) == outcome(view, with_hurst), name
+
+
+def default_times_reference(params, n_paths, n_steps, horizon, seed):
+    """Default times of the seed contract, one full-array loop: per step one
+    standard_normal(n_paths), the Euler update ((x + A dt x) + B dt) +
+    ((csd sqrt(x)) z) on the unabsorbed paths, and the step's right endpoint
+    as the default time of each path it takes to x <= 0."""
+    alpha, sigma0, beta = params.alpha, params.sigma0, params.beta
+    two_a = 2.0 - alpha
+    tgrid = np.linspace(0.0, horizon, n_steps + 1)
+    dv = np.diff(tgrid + beta ** 2 * tgrid ** (2.0 * params.hurst))
+    adt = two_a * params.r * (horizon / n_steps)
+    b = 0.5 * sigma0 ** 2 * (1.0 - alpha) * two_a * dv
+    csd = two_a * sigma0 * np.sqrt(dv)
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = np.ones(n_paths)
+    default_time = np.full(n_paths, np.nan)
+    for k in range(n_steps):
+        z = rng.standard_normal(n_paths)
+        alive = np.isnan(default_time)
+        live_x = np.where(alive, x, 1.0)
+        stepped = ((live_x + adt * live_x) + b[k]) + ((csd[k] * np.sqrt(live_x)) * z)
+        x = np.where(alive, stepped, x)
+        default_time = np.where(alive & (x <= 0.0), tgrid[k + 1], default_time)
+    return default_time
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(alpha=st.floats(min_value=-10.0, max_value=2.0, exclude_max=True),
+       beta=st.floats(min_value=0.0, max_value=2.0), hurst=DOMAIN["hurst"],
+       sigma0=DOMAIN["sigma0"], r=st.floats(min_value=0.0, max_value=0.5),
+       n_paths=st.integers(min_value=1, max_value=500),
+       n_steps=st.integers(min_value=1, max_value=50),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
+def test_simulation_follows_the_seed_contract(alpha, beta, hurst, sigma0, r, n_paths, n_steps,
+                                              seed):
+    params = ModelParams(r=r, sigma0=sigma0, alpha=alpha, beta=beta, hurst=hurst, s0=50.0)
+    times = simulate_fpt(params, McConfig(n_paths=n_paths, n_steps=n_steps, horizon=2.0,
+                                          seed=seed))
+    expected = default_times_reference(params, n_paths, n_steps, 2.0, seed)
+    assert np.array_equal(times, expected, equal_nan=True)
