@@ -10,12 +10,19 @@ Three rates, each in requested path-steps (n_paths x n_steps) per second:
                   looks it up
     simulate_fpt  the whole simulation, unwrapped
 
+and one in paths per second:
+
+    estimators    ``default_probability_estimate`` and ``spread_estimate``
+                  on the simulation's default times, at the contract
+                  ``mfcev validate`` prices (T = 2, recovery 0.5, two
+                  payments a year)
+
 ``simulate_fpt`` draws the normals on a worker thread, ahead of the step
 kernel on the calling thread, so with a second core free its time comes
 close to the draws alone: ``simulate_fpt_over_draw`` is the ratio of the
 two medians, 1 where the step is fully hidden behind the draws.
 
-Each figure is the median of ``--repeat`` rounds; a round times the three
+Each figure is the median of ``--repeat`` rounds; a round times the four
 layers in turn on the same seed.  The step runs over every path's slot, the
 absorbed ones included, so the step layer also reports its live path-steps:
 the paths alive before each step (its ``n_alive`` argument), summed.  Run as
@@ -37,12 +44,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from mfcev import _mc_fallback
+from mfcev.cds import CdsContract
 from mfcev.core import ModelParams
-from mfcev.mc import McConfig, simulate_fpt
+from mfcev.mc import McConfig, default_probability_estimate, simulate_fpt, spread_estimate
 
 #: the fractional benchmark cell the validate report checks (r = 5%, s0 = 50)
 PARAMS = ModelParams(r=0.05, sigma0=0.2, alpha=-2.0, beta=0.5, hurst=0.8, s0=50.0)
 HORIZON = 2.0
+CONTRACT = CdsContract(maturity=HORIZON, recovery=0.5, payments_per_year=2)
 
 
 def time_draws(cfg: McConfig) -> float:
@@ -76,26 +85,36 @@ def time_steps(cfg: McConfig) -> tuple[float, int]:
     return spent, stepped
 
 
-def time_simulation(cfg: McConfig) -> float:
+def time_simulation(cfg: McConfig) -> tuple[float, np.ndarray]:
+    """Seconds for one simulation, and its default times."""
     start = time.perf_counter()
-    simulate_fpt(PARAMS, cfg)
+    default_time = simulate_fpt(PARAMS, cfg)
+    return time.perf_counter() - start, default_time
+
+
+def time_estimators(default_time: np.ndarray) -> float:
+    start = time.perf_counter()
+    default_probability_estimate(default_time)
+    spread_estimate(default_time, PARAMS, CONTRACT)
     return time.perf_counter() - start
 
 
 def measure(cfg: McConfig, repeat: int) -> dict:
     simulate_fpt(PARAMS, cfg)   # warm-up
-    draw, step, end_to_end = [], [], []
+    draw, step, end_to_end, estimators = [], [], [], []
     stepped = 0
     for _ in range(repeat):
         draw.append(time_draws(cfg))
         spent, stepped = time_steps(cfg)
         step.append(spent)
-        end_to_end.append(time_simulation(cfg))
+        spent, default_time = time_simulation(cfg)
+        end_to_end.append(spent)
+        estimators.append(time_estimators(default_time))
     work = cfg.n_paths * cfg.n_steps
 
-    def layer(times):
+    def layer(times, per="path_steps", count=work):
         median = statistics.median(times)
-        return {"s": median, "path_steps_per_s": work / median,
+        return {"s": median, f"{per}_per_s": count / median,
                 "runs_s": [round(t, 6) for t in times]}
 
     return {
@@ -104,6 +123,7 @@ def measure(cfg: McConfig, repeat: int) -> dict:
         "draw": layer(draw),
         "step": {**layer(step), "live_path_steps": stepped},
         "simulate_fpt": layer(end_to_end),
+        "estimators": layer(estimators, "paths", cfg.n_paths),
         "simulate_fpt_over_draw": statistics.median(end_to_end) / statistics.median(draw),
         "meta": {"python": platform.python_version(), "numpy": np.__version__,
                  "nproc": os.cpu_count()},
@@ -130,6 +150,8 @@ def main() -> int:
     for name in ("draw", "step", "simulate_fpt"):
         r = result[name]
         print(f"  {name:<12} : {r['s']:8.3f} s   {r['path_steps_per_s'] / 1e6:7.1f} M path-steps/s")
+    r = result["estimators"]
+    print(f"  {'estimators':<12} : {r['s'] * 1e3:8.3f} ms  {r['paths_per_s'] / 1e6:7.1f} M paths/s")
     print(f"  live path-steps stepped: {result['step']['live_path_steps']}")
     print(f"  simulate_fpt / draw: {result['simulate_fpt_over_draw']:.3f}")
     return 0

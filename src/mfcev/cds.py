@@ -47,20 +47,20 @@ BATCH_CELLS = 256
 #: holds about 72 bytes per date and cell, so a full batch of BATCH_CELLS
 #: cells at the cap takes about 370 MB.
 MAX_PREMIUM_DATES = 20_000
-#: samples per default curve, at about 270 bytes each with the CLI's CSV
-#: line, so a curve at the cap takes about 270 MB
+#: samples per default curve, at about 140 bytes each with the CLI's CSV
+#: line, so a curve at the cap takes about 140 MB
 MAX_CURVE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
 class CdsContract:
-    """Plain-vanilla CDS terms: maturity in years, recovery fraction,
-    notional, and number of premium payments per year (accrual fraction
-    1/payments_per_year each), at most MAX_PREMIUM_DATES dates in all."""
+    """Plain-vanilla CDS terms: maturity in years, recovery fraction, and
+    number of premium payments per year (accrual fraction 1/payments_per_year
+    each), at most MAX_PREMIUM_DATES dates in all.  Every value priced on it
+    is per unit notional."""
 
     maturity: float
     recovery: float
-    notional: float = 1.0
     payments_per_year: int = 2
 
     def __post_init__(self):
@@ -69,9 +69,6 @@ class CdsContract:
                                  f"maturity must be finite and > 0, got {self.maturity}")
         if not 0.0 <= self.recovery <= 1.0:
             raise ParameterError("recovery", f"recovery must lie in [0, 1], got {self.recovery}")
-        if not 0.0 < self.notional < math.inf:
-            raise ParameterError("notional",
-                                 f"notional must be finite and > 0, got {self.notional}")
         # the comparisons come first, so int() never sees inf or NaN
         if (not 1 <= self.payments_per_year < math.inf
                 or self.payments_per_year != int(self.payments_per_year)):
@@ -101,14 +98,6 @@ class SpreadCell:
     maturity: float
     spread_bps: float
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """A (time, default probability) sample of the term structure."""
-
-    t: float
-    q: float
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,11 +241,11 @@ def _spread_bps(leg: float, annuity: float, error: NumericalError | None) -> flo
 
 
 def protection_leg(contract: CdsContract, params: ModelParams) -> float:
-    """Present value of the protection payment, scaled by the notional."""
+    """Present value of the protection payment, per unit notional."""
     leg, _, errors = _price_batch([params], [contract])
     if errors[0] is not None:
         raise errors[0]
-    return contract.notional * float(leg[0])
+    return float(leg[0])
 
 
 def premium_annuity(contract: CdsContract, params: ModelParams) -> float:
@@ -306,17 +295,17 @@ def spread_table(params_base: ModelParams,
     return cells
 
 
-def default_curve(params: ModelParams, t_max: float, n_points: int) -> list[CurvePoint]:
+def default_curve(params: ModelParams, t_max: float,
+                  n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Default probability sampled on a uniform grid of n_points times over [0, t_max].
 
-    n_points may not exceed MAX_CURVE_POINTS.
+    Returns the times i * t_max / (n_points - 1), the last exactly t_max, and
+    Q at each, as two float64 arrays.  n_points may not exceed MAX_CURVE_POINTS.
     """
     if not 0.0 < t_max < math.inf:
         raise ParameterError("t_max", f"t_max must be finite and > 0, got {t_max}")
     if not 2 <= n_points <= MAX_CURVE_POINTS:
         raise ParameterError("n_points", f"n_points must lie in [2, {MAX_CURVE_POINTS}], "
                                          f"got {n_points}")
-    step = t_max / (n_points - 1)
-    times = [t_max if i == n_points - 1 else i * step for i in range(n_points)]
-    qs = FirstPassageLaw.of([params]).q(np.array(times))[0]
-    return [CurvePoint(t, q) for t, q in zip(times, qs.tolist())]
+    t = np.linspace(0.0, t_max, n_points)
+    return t, FirstPassageLaw.of([params]).q(t)[0]

@@ -135,6 +135,12 @@ def _model_params(merged: dict, **given) -> ModelParams:
                        beta=flags["beta"], hurst=flags["hurst"], s0=flags["s0"])
 
 
+def _contract(merged: dict) -> CdsContract:
+    """The contract of the flags."""
+    return CdsContract(maturity=merged["maturity"], recovery=merged["recovery"],
+                       payments_per_year=merged["freq"])
+
+
 def _fmt_bps(value: float, precision: int | None) -> str:
     return f"{value:.{4 if precision is None else precision}f}"
 
@@ -154,8 +160,7 @@ def _emit(lines: list[str], output: str | None) -> None:
 
 def cmd_spread(merged: dict) -> int:
     params = _model_params(merged)
-    contract = CdsContract(maturity=merged["maturity"], recovery=merged["recovery"],
-                           payments_per_year=merged["freq"])
+    contract = _contract(merged)
     print(_fmt_bps(cds_spread(contract, params), merged["precision"]))
     return 0
 
@@ -208,24 +213,20 @@ def cmd_curve(merged: dict) -> int:
     else:
         series = [(merged["beta"], merged["hurst"])]
 
-    columns = [default_curve(_model_params(merged, beta=beta, hurst=hurst),
-                             merged["tmax"], merged["points"]) for beta, hurst in series]
+    curves = [default_curve(_model_params(merged, beta=beta, hurst=hurst),
+                            merged["tmax"], merged["points"]) for beta, hurst in series]
     labels = [f"q_b{beta:g}" if hurst is None else f"q_b{beta:g}_H{hurst:g}"
               for beta, hurst in series]
     lines = ["t," + ",".join(labels if merged["series"] else ["q"])]
-    for i in range(merged["points"]):
-        t = columns[0][i].t
-        row = [f"{t:.10g}"]
-        row += [_fmt_prob(col[i].q, merged["precision"]) for col in columns]
-        lines.append(",".join(row))
+    for t, *qs in zip(curves[0][0], *(q for _, q in curves)):
+        lines.append(",".join([f"{t:.10g}", *(_fmt_prob(q, merged["precision"]) for q in qs)]))
     _emit(lines, merged["output"])
     return 0
 
 
 def cmd_validate(merged: dict) -> int:
     params = _model_params(merged)
-    contract = CdsContract(maturity=merged["maturity"], recovery=merged["recovery"],
-                           payments_per_year=merged["freq"])
+    contract = _contract(merged)
     cfg = mc.McConfig(n_paths=merged["paths"], n_steps=merged["steps"],
                       horizon=merged["maturity"], seed=merged["seed"])
 

@@ -39,3 +39,4 @@ def test_bench_mc():
     for layer in ("draw", "step", "simulate_fpt"):
         assert result[layer]["path_steps_per_s"] > 0.0
     assert result["simulate_fpt_over_draw"] > 0.0
+    assert result["estimators"]["paths_per_s"] > 0.0

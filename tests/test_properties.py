@@ -3,12 +3,14 @@
 Every accepted input must either price, or fail with a documented error and
 exit code; Q is checked against a scipy oracle in units with s0 = 1.  A
 classical row (beta = 0) gives the same bits with or without a Hurst exponent,
-and the Monte-Carlo default times are those of a plain loop over the seed's
-draws.
+a default curve is Q on the uniform grid, the Monte-Carlo default times are
+those of a plain loop over the seed's draws, and the Monte-Carlo spread is
+that of a plain loop over the premium dates.
 """
 
 import contextlib
 import io
+import math
 import pickle
 
 import numpy as np
@@ -21,7 +23,7 @@ from mfcev.cli import main
 from mfcev.core import (FirstPassageLaw, ModelParams, default_probability, phi_closed,
                         phi_quadrature)
 from mfcev.errors import NumericalError
-from mfcev.mc import McConfig, simulate_fpt
+from mfcev.mc import SPREAD_BATCHES, McConfig, McResult, simulate_fpt, spread_estimate
 
 from reference import default_probability_reference
 
@@ -144,3 +146,76 @@ def test_simulation_follows_the_seed_contract(alpha, beta, hurst, sigma0, r, n_p
                                           seed=seed))
     expected = default_times_reference(params, n_paths, n_steps, 2.0, seed)
     assert np.array_equal(times, expected, equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t_max=st.floats(min_value=1e-3, max_value=1e3),
+       n_points=st.integers(min_value=2, max_value=5000),
+       **{name: DOMAIN[name] for name in ("alpha", "hurst", "beta", "sigma0")},
+       r=st.floats(min_value=0.0, max_value=0.5))
+def test_curve_is_q_on_the_uniform_grid(t_max, n_points, alpha, hurst, beta, sigma0, r):
+    params = ModelParams(r=r, sigma0=sigma0, alpha=alpha, beta=beta, hurst=hurst, s0=50.0)
+    t, q = cds.default_curve(params, t_max, n_points)
+    step = t_max / (n_points - 1)
+    grid = np.array([t_max if i == n_points - 1 else i * step for i in range(n_points)])
+    assert t.tobytes() == grid.tobytes()
+    assert q.tobytes() == FirstPassageLaw.of([params]).q(grid)[0].tobytes()
+
+
+def spread_estimate_reference(default_time, params, contract):
+    """The Monte-Carlo spread with one pass over the paths per premium date:
+    each path's annuity adds accrual * e^(-r t_i) for every date t_i < tau."""
+    n = default_time.size
+    r = params.r
+    tau = np.where(np.isnan(default_time), np.inf, default_time)
+    defaulted = tau <= contract.maturity + 1e-12
+    protection = np.where(defaulted,
+                          (1.0 - contract.recovery) * np.exp(-r * np.where(defaulted, tau, 0.0)),
+                          0.0)
+    accrual = 1.0 / contract.payments_per_year
+    annuity = np.zeros(n)
+    for t_i in contract.payment_times():
+        annuity += np.where(tau > t_i, accrual * math.exp(-r * t_i), 0.0)
+    if float(np.mean(annuity)) <= 0.0:
+        raise NumericalError("every path defaulted before the first payment "
+                             "date; the Monte-Carlo spread is undefined")
+    estimate = 1e4 * float(np.mean(protection)) / float(np.mean(annuity))
+    n_batches = min(SPREAD_BATCHES, n)
+    batch_spreads = []
+    for prot_b, ann_b in zip(np.array_split(protection, n_batches),
+                             np.array_split(annuity, n_batches)):
+        if float(np.mean(ann_b)) <= 0.0:
+            raise NumericalError("a path batch defaulted entirely before the "
+                                 "first payment date; batch standard error "
+                                 "is undefined")
+        batch_spreads.append(1e4 * float(np.mean(prot_b)) / float(np.mean(ann_b)))
+    std_error = (float(np.std(batch_spreads, ddof=1)) / math.sqrt(n_batches)
+                 if n_batches > 1 else 0.0)
+    return McResult(estimate, std_error, int(np.count_nonzero(defaulted)), n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(maturity=st.floats(min_value=0.01, max_value=5.0),
+       freq=st.integers(min_value=1, max_value=1000),
+       r=st.floats(min_value=0.0, max_value=0.5),
+       recovery=st.floats(min_value=0.0, max_value=1.0),
+       n_paths=st.integers(min_value=1, max_value=1000),
+       n_steps=st.integers(min_value=1, max_value=200),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_spread_estimate_matches_the_per_date_loop(maturity, freq, r, recovery, n_paths,
+                                                   n_steps, seed):
+    # default times of four kinds: exactly a premium date, a grid time (the
+    # simulation's, 25 x 0.02 being exactly the date 0.5 for instance), any
+    # time up to the horizon, and NaN for a survivor
+    params = ModelParams(r=r, sigma0=0.2, alpha=0.0, beta=0.0, hurst=None, s0=50.0)
+    contract = cds.CdsContract(maturity=maturity, recovery=recovery, payments_per_year=freq)
+    dates = np.asarray(contract.payment_times())
+    horizon = max(maturity, dates[-1])
+    rng = np.random.default_rng(seed)
+    choices = [dates[rng.integers(dates.size, size=n_paths)],
+               np.linspace(0.0, horizon, n_steps + 1)[rng.integers(1, n_steps + 1, size=n_paths)],
+               rng.uniform(0.0, horizon, size=n_paths),
+               np.full(n_paths, np.nan)]
+    default_time = np.choose(rng.integers(4, size=n_paths), choices)
+    assert (outcome(lambda t: spread_estimate(t, params, contract), default_time)
+            == outcome(lambda t: spread_estimate_reference(t, params, contract), default_time))
