@@ -8,7 +8,7 @@ The equilibrium spread equates the two legs at inception.
 Every spread and annuity goes through one batched kernel, ``_price_batch``.
 For a batch of (params, contract) cells it evaluates Q and g on
 Gauss-Legendre panels equal in ln t from ``FirstPassageLaw.onset`` to T, in
-one array pass that also covers Q(T) and the premium dates (``_schedule``).
+one array pass, and Q alone at T and the premium dates (``_schedule``).
 One convergence test, applied at every doubling of the panels, estimates
 each cell's quadrature error; only the cells that miss it are refined.
 ``ModelParams`` and ``CdsContract`` check themselves.  ``spread_table``
@@ -44,11 +44,11 @@ MAX_PANELS = 1024
 #: cells per array pass, which bounds the memory a long grid takes
 BATCH_CELLS = 256
 #: premium dates per contract, ceil(maturity * payments_per_year).  The kernel
-#: holds about 72 bytes per date and cell, so a full batch of BATCH_CELLS
-#: cells at the cap takes about 370 MB.
+#: holds about 88 bytes per date and cell, so a full batch of BATCH_CELLS
+#: cells at the cap takes about 450 MB.
 MAX_PREMIUM_DATES = 20_000
-#: samples per default curve, at about 140 bytes each with the CLI's CSV
-#: line, so a curve at the cap takes about 140 MB
+#: samples per default curve, at about 94 bytes each with the CLI's CSV
+#: line, so a curve at the cap takes about 94 MB
 MAX_CURVE_POINTS = 1_000_000
 
 
@@ -169,18 +169,17 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
     onset = law.onset(horizon)
     dates, accrual = _schedule(contracts)
 
-    # one pass: both starting meshes, Q(T) and the premium dates
+    # one pass over both starting meshes, and Q alone at T and the premium dates
     coarse_t, coarse_w = _mesh(onset, horizon, BASE_PANELS)
     fine_t, fine_w = _mesh(onset, horizon, 2 * BASE_PANELS)
-    q, g = law.q_and_g(np.hstack([coarse_t, fine_t, horizon, dates]))
+    q, g = law.q_and_g(np.hstack([coarse_t, fine_t]))
     n0 = coarse_t.shape[1]
-    n1 = n0 + fine_t.shape[1]
     legs = _leg_integrals(law, coarse_t, coarse_w, q[:, :n0], g[:, :n0])
-    new = _leg_integrals(law, fine_t, fine_w, q[:, n0:n1], g[:, n0:n1])
-    q_horizon = q[:, n1]
+    new = _leg_integrals(law, fine_t, fine_w, q[:, n0:], g[:, n0:])
+    q_horizon = law.q(horizon)[:, 0]
     # summed exactly, so that neither padding nor the batch moves a bit
     annuity = np.array([math.fsum(row) for row in
-                        (accrual * np.exp(-law.r * dates) * (1.0 - q[:, n1 + 1:])).tolist()])
+                        accrual * np.exp(-law.r * dates) * (1.0 - law.q(dates))])
 
     # each doubling of the panels: per cell, the larger of the two integrals'
     # error estimates, and done once both meet the tolerance or one is not

@@ -42,7 +42,6 @@ _FLAGS = {
     "hurst": (float, "Hurst exponent in (3/4, 1)"),
     "sigma0": (float, "volatility scale per sqrt(year)"),
     "rate": (float, "risk-free rate per year"),
-    "s0": (float, "initial price"),
     "recovery": (float, "recovery rate in [0, 1]"),
     "maturity": (float, "contract maturity in years"),
     "freq": (int, "premium payments per year"),
@@ -132,7 +131,7 @@ def _model_params(merged: dict, **given) -> ModelParams:
     """The model parameters of the flags, with ``given`` in place of theirs."""
     flags = {**merged, **given}
     return ModelParams(r=flags["rate"], sigma0=flags["sigma0"], alpha=flags["alpha"],
-                       beta=flags["beta"], hurst=flags["hurst"], s0=flags["s0"])
+                       beta=flags["beta"], hurst=flags["hurst"])
 
 
 def _contract(merged: dict) -> CdsContract:
@@ -150,12 +149,12 @@ def _fmt_prob(value: float, precision: int | None) -> str:
 
 
 def _emit(lines: list[str], output: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+    text = (f"{line}\n" for line in lines)
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(text)
 
 
 def cmd_spread(merged: dict) -> int:
@@ -263,18 +262,18 @@ def cmd_validate(merged: dict) -> int:
 _COMMANDS = {
     "spread": _Command("price one CDS spread (bps)", cmd_spread, {
         "alpha": _REQUIRED, "beta": _REQUIRED, "hurst": _REQUIRED, "sigma0": _REQUIRED,
-        "rate": _REQUIRED, "s0": 50.0, "recovery": _REQUIRED, "maturity": _REQUIRED,
-        "freq": 2, "precision": None}),
+        "rate": _REQUIRED, "recovery": _REQUIRED, "maturity": _REQUIRED, "freq": 2,
+        "precision": None}),
     "table1": _Command("benchmark spread grid as CSV", cmd_table1, {
-        "sigma0": 0.2, "rate": 0.05, "recovery": 0.5, "s0": 50.0, "freq": 2,
-        "maturities": None, "precision": None, "output": None}),
+        "sigma0": 0.2, "rate": 0.05, "recovery": 0.5, "freq": 2, "maturities": None,
+        "precision": None, "output": None}),
     "curve": _Command("default-probability curve(s) as CSV", cmd_curve, {
-        "alpha": _REQUIRED, "sigma0": _REQUIRED, "rate": _REQUIRED, "s0": 50.0,
-        "beta": None, "hurst": None, "tmax": _REQUIRED, "points": _REQUIRED,
-        "series": None, "precision": None, "output": None}),
+        "alpha": _REQUIRED, "sigma0": _REQUIRED, "rate": _REQUIRED, "beta": None,
+        "hurst": None, "tmax": _REQUIRED, "points": _REQUIRED, "series": None,
+        "precision": None, "output": None}),
     "validate": _Command("Monte-Carlo vs analytic report", cmd_validate, {
         "alpha": _REQUIRED, "beta": _REQUIRED, "hurst": _REQUIRED, "sigma0": _REQUIRED,
-        "rate": _REQUIRED, "s0": 50.0, "recovery": 0.5, "maturity": _REQUIRED, "freq": 2,
+        "rate": _REQUIRED, "recovery": 0.5, "maturity": _REQUIRED, "freq": 2,
         "paths": _REQUIRED, "steps": _REQUIRED, "seed": _REQUIRED, "precision": None}),
 }
 

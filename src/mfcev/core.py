@@ -16,9 +16,10 @@ closed form
 with xi = (1-alpha)/(2-alpha) and phi the discounted running integral of
 C.  This module evaluates phi (closed form and quadrature oracle), the
 first-passage density g = dQ/dt, and Q itself.  The closed forms are
-array-native (``FirstPassageLaw``); the scalar functions are thin views of
-it.  Q has one evaluator, ``_regularized_upper_gamma``, for Q alone and
-for Q with g; its docstring gives its split and its accuracy.
+array-native (``FirstPassageLaw``) and take ln phi from the logarithms of
+the parameters, so every accepted input has a Q; the scalar functions are
+thin views of it.  Q has one evaluator, ``_regularized_upper_gamma``, for
+Q alone and for Q with g; its docstring gives its split and its accuracy.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from scipy.special import gammainc, gammaincc, gammaln
 
 from .errors import NumericalError, ParameterError, QuadratureError
 
-#: below this rate the r -> 0 analytic branch of phi is used
-R_ZERO_TOL = 1e-12
+#: ln(lambda t) is clamped up to this, where (1 - e^(-x))/x and
+#: Gamma(2H+1) x^(-2H) P(2H, x) are 1 to double precision
+LOG_X_MIN = math.log(1e-17)
 
 #: Q(s, u) is evaluated as 1 - P(s, u) below this u = x0/phi (see
 #: _regularized_upper_gamma)
@@ -102,7 +104,7 @@ class ModelParams:
         return 0.5 if self.hurst is None else self.hurst
 
 
-def _regularized_upper_gamma(s, u) -> np.ndarray:
+def _regularized_upper_gamma(s, u, log_u) -> np.ndarray:
     """Q(s, u) = Gamma(s, u) / Gamma(s), as 1 - P(s, u) below u = Q_SPLIT_U.
 
     For u < 1.1 scipy's ``gammaincc`` sums a series that re-evaluates
@@ -116,7 +118,12 @@ def _regularized_upper_gamma(s, u) -> np.ndarray:
     so ``gammaincc`` stays.  Q stays monotone in u, except that it may
     step by up to that bound at the split itself.
 
-    u carries the broadcast shape.  The two bands are gathered and
+    Below the smallest normal double u is subnormal or 0, and ``gammainc``
+    loses digits there (6e-9 relative at alpha = -718).  P(s, u) =
+    u^s / Gamma(1+s) to double precision, so Q = -expm1(s ln u -
+    ln Gamma(1+s)), from ln u.
+
+    u and ln u carry the broadcast shape.  The bands are gathered and
     scattered with boolean masks: a scipy.special ufunc called with
     ``where=`` over a 2-D array corrupts the heap (numpy 2.4, scipy 1.17).
     """
@@ -128,7 +135,17 @@ def _regularized_upper_gamma(s, u) -> np.ndarray:
     out = np.empty(u.shape)
     out[low] = 1.0 - gammainc(s[low], u[low])
     out[high] = gammaincc(s[high], u[high])
+    tiny = u < np.finfo(float).tiny
+    if tiny.any():
+        s = s[tiny]
+        out[tiny] = -np.expm1(s * log_u[tiny] - gammaln(1.0 + s))
     return out
+
+
+def _log1p_exp(z):
+    """ln(1 + e^z) for any z, -inf included: about four times faster than np.logaddexp(0, z)."""
+    tail = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(tail, out=tail)
 
 
 def _column(values) -> np.ndarray:
@@ -141,63 +158,53 @@ class FirstPassageLaw:
 
     Q and g depend on the initial state only through x0/phi(t), and phi is
     proportional to delta^2 = sigma0^2 s0^(2-alpha).  With s0 = 1 the state
-    is x0 = 1 and delta^2 = sigma0^2, so no power of s0 is ever formed and
-    nothing overflows however negative alpha is; phi in model units is
-    s0^(2-alpha) times ``phi`` here.
+    is x0 = 1 and delta^2 = sigma0^2, so no power of s0 is ever formed; phi
+    in model units is s0^(2-alpha) times ``phi`` here.
 
     Every attribute is a column with one row per parameter set, so the
     methods broadcast against a (rows, times) array of times t >= 0.  With
-    lambda = (2-alpha) r and k = sigma0^2 (2-alpha)^2,
+    lambda = (2-alpha) r, k = sigma0^2 (2-alpha)^2 and x = lambda t,
 
-        C(t)   = k (1/2 + beta^2 H t^(2H-1)),
-        phi(t) = k [(1 - e^(-lambda t)) / (2 lambda)
-                    + beta^2 H Gamma(2H) lambda^(-2H) P(2H, lambda t)],
+        C(t)   = (k/2) (1 + 2H beta^2 t^(2H-1)),
+        phi(t) = (k/2) [t D(x) + beta^2 t^(2H) F(x)],
+        D(x)   = (1 - e^(-x)) / x,   F(x) = Gamma(2H+1) x^(-2H) P(2H, x),
 
-    the second term being beta^2 H integral_0^t u^(2H-1) e^(-lambda u) du.
-    Below R_ZERO_TOL the rate drops out: phi(t) = k (t + beta^2 t^(2H)) / 2.
+    the second term of phi being k beta^2 H integral_0^t v^(2H-1) e^(-lambda v) dv.
     H is ``ModelParams.effective_hurst``, 1/2 on a classical row.
+
+    phi is taken as ln phi from the logarithms of the parameters, its two
+    terms added by a softplus, so no factor leaves the double range.  ln x
+    is clamped up to LOG_X_MIN, where D = F = 1 to double precision, so one
+    expression serves every r >= 0 (ln lambda = -inf at r = 0).  Q and g
+    read ln u = -ln phi, so every accepted input has a Q.  ln phi is off by
+    a few ulps of the largest logarithm formed, and Q by u times that: over
+    the log-uniform domain (sigma0, t in [1e-300, 1e300], beta to 1e300, r
+    to 1e308, alpha to -1000) Q was within 7.9e-12 relative of mpmath in
+    4,800 draws.
 
     ``q`` and ``q_and_g`` share one Q evaluator, ``_regularized_upper_gamma``,
     so they give the same Q bit for bit.
-
-    A finite parameter may overflow k, beta^2 or lambda.  Where phi(t > 0)
-    is then inf, u = 0 and Q = 1, exact in double only for s > 0.053
-    (alpha > -16.9), below which u^s still matters for u < 1/DBL_MAX.  Q
-    and g are NaN there and where phi(t > 0) is NaN: ``q`` raises
-    NumericalError, and ``q_and_g`` returns the NaNs for the CDS kernel to
-    report per cell.
     """
 
     r: np.ndarray
-    lam: np.ndarray
-    zero_rate: np.ndarray
-    k: np.ndarray
-    beta_sq_h: np.ndarray
+    log_lam: np.ndarray
+    log_half_k: np.ndarray
+    log_beta_sq: np.ndarray
     two_h: np.ndarray
-    frac_coef: np.ndarray
     s: np.ndarray
-    log_gamma_s: np.ndarray
 
     @classmethod
     def of(cls, params: Sequence[ModelParams]) -> "FirstPassageLaw":
         r = _column([p.r for p in params])
         two_a = 2.0 - _column([p.alpha for p in params])
-        hurst = _column([p.effective_hurst for p in params])
-        zero_rate = r < R_ZERO_TOL
-        # a finite parameter may overflow lambda, k or beta^2; phi and Q then
-        # take their limits, or turn NaN (see the class docstring)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lam = np.where(zero_rate, 0.0, two_a * r)
-            log_lam = np.log(np.where(zero_rate, 1.0, lam))
-            k = _column([p.sigma0 for p in params]) ** 2 * two_a ** 2
-            beta_sq = _column([p.beta for p in params]) ** 2
-            # beta^2 H Gamma(2H) lambda^(-2H); below R_ZERO_TOL, beta^2 / 2 (of t^(2H))
-            frac_coef = np.where(zero_rate, 0.5 * beta_sq, beta_sq * hurst
-                                 * np.exp(gammaln(2.0 * hurst) - 2.0 * hurst * log_lam))
-        s = 1.0 / two_a
-        return cls(r=r, lam=lam, zero_rate=zero_rate, k=k,
-                   beta_sq_h=beta_sq * hurst, two_h=2.0 * hurst, frac_coef=frac_coef,
-                   s=s, log_gamma_s=gammaln(s))
+        log_two_a = np.log(two_a)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf at r = 0 and at beta = 0
+            log_lam = log_two_a + np.log(r)
+            log_beta_sq = 2.0 * np.log(_column([p.beta for p in params]))
+        log_sigma0 = np.log(_column([p.sigma0 for p in params]))
+        log_half_k = 2.0 * (log_sigma0 + log_two_a) - math.log(2.0)
+        return cls(r=r, log_lam=log_lam, log_half_k=log_half_k, log_beta_sq=log_beta_sq,
+                   two_h=2.0 * _column([p.effective_hurst for p in params]), s=1.0 / two_a)
 
     def take(self, rows) -> "FirstPassageLaw":
         """The law of the selected rows."""
@@ -206,49 +213,41 @@ class FirstPassageLaw:
     def onset(self, horizon) -> np.ndarray:
         """Per row, a time up to which Q and g stay below about e^(-ONSET_U), capped at horizon.
 
-        As e^(-lambda u) <= 1, phi(t) <= k t / 2 + k beta^2 t^(2H) / 2, and at
-        the returned time each of the two terms is at most 1 / (2 ONSET_U); so
-        up to there 1 / phi >= ONSET_U.  It is at least the smallest positive
-        double, so its logarithm is finite also where k or beta^2 overflowed.
+        As D, F <= 1, phi(t) <= (k/2) (t + beta^2 t^(2H)), and at the returned
+        time each of the two terms is at most 1 / (2 ONSET_U); so up to there
+        1 / phi >= ONSET_U.  It is at least the smallest positive double.
         """
-        beta_sq = self.beta_sq_h / (0.5 * self.two_h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = 1.0 / (self.k * ONSET_U)
-            fractional = (bound / beta_sq) ** (1.0 / self.two_h)
-        return np.maximum(np.minimum(horizon, np.fmin(bound, fractional)), 5e-324)
+        log_bound = -self.log_half_k - math.log(2.0 * ONSET_U)
+        log_onset = np.minimum(log_bound, (log_bound - self.log_beta_sq) / self.two_h)
+        with np.errstate(over="ignore"):
+            return np.maximum(np.minimum(horizon, np.exp(log_onset)), 5e-324)
+
+    def _log_phi(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """y = ln(beta^2 t^(2H-1)), x = lambda t and ln phi(t); ln phi is finite for t > 0."""
+        with np.errstate(over="ignore", divide="ignore"):  # x = inf, and ln 0 at t = 0
+            log_t = np.log(t)
+            log_x = np.maximum(self.log_lam + log_t, LOG_X_MIN)
+            x = np.exp(log_x)
+            log_d = np.log(-np.expm1(-x)) - log_x
+            log_f = np.log(gammainc(self.two_h, x)) - self.two_h * log_x
+        y = self.log_beta_sq + (self.two_h - 1.0) * log_t
+        # ln phi = ln(k/2) + ln(t D) + ln(1 + beta^2 t^(2H) F / (t D)), in place
+        log_f += y - log_d + gammaln(self.two_h + 1.0)
+        log_d += log_t + self.log_half_k
+        return y, x, log_d + _log1p_exp(log_f)
 
     def phi(self, t) -> np.ndarray:
-        lam = self.lam
-        with np.errstate(invalid="ignore", divide="ignore"):
-            decay = np.where(self.zero_rate, 0.5 * t, -np.expm1(-lam * t) / (2.0 * lam))
-        # P(2H, lambda t) is finite on every row and frac_coef = 0 zeroes it
-        # on the classical ones, so no row is masked out (a scipy.special
-        # ufunc's where= over a 2-D array corrupts the heap)
-        frac = gammainc(self.two_h, lam * t)
-        if self.zero_rate.any():
-            # t^(2H) = inf at huge t gives phi = inf, so Q = 1
-            with np.errstate(over="ignore"):
-                frac = np.where(self.zero_rate, np.power(t, self.two_h), frac)
-        return self.k * (decay + self.frac_coef * frac)
-
-    def _inverse_phi(self, t) -> np.ndarray:
-        # x0 / phi with x0 = 1.  At t = 0 it is +inf, for which Q = 0, also
-        # where an overflowed k or frac_coef makes phi(0) = inf * 0 = NaN.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(t == 0.0, np.inf, 1.0 / self.phi(t))
-        # u = 0 (phi = inf) is NaN where Q = 1 would not be exact
-        inexact_one = self.s <= 0.053
-        if inexact_one.any():
-            u[inexact_one & (u == 0.0)] = np.nan
-        return u
+        """phi(t) for t > 0: inf or 0 where it leaves the double range."""
+        with np.errstate(over="ignore"):
+            return np.exp(self._log_phi(t)[2])
 
     def q(self, t) -> np.ndarray:
-        """Default probability Q(t) = Gamma(s, 1/phi(t)) / Gamma(s), s = 1 - xi."""
-        q = _regularized_upper_gamma(self.s, self._inverse_phi(t))
-        if np.isnan(q).any():
-            raise NumericalError("default probability is undefined in double precision: "
-                                 "phi(t) left the double range")
-        return q
+        """Default probability Q(t) = Gamma(s, 1/phi(t)) / Gamma(s), s = 1 - xi, with Q(0) = 0."""
+        # at t = 0 ln phi is -inf, or NaN (0 * ln 0) on a classical row; Q(0) = 0 is set apart
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_u = -self._log_phi(t)[2]
+            q = _regularized_upper_gamma(self.s, np.exp(log_u), log_u)
+        return np.where(t > 0.0, q, 0.0)
 
     def q_and_g(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Q(t) and the first-passage density g(t) = dQ/dt, for t > 0.
@@ -256,16 +255,16 @@ class FirstPassageLaw:
         g(t) = C(t) e^(-lambda t) / Gamma(s) * u^(1+s) e^(-u), u = 1/phi(t),
         evaluated in log space; values below exp(LOG_FLOOR) are exact 0.
         """
-        u = self._inverse_phi(t)
-        q = _regularized_upper_gamma(self.s, u)
-        # clamping u keeps u^(1+s) e^(-u) finite (and 0) where phi underflowed
-        u = np.minimum(u, 1e300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_g = (np.log(self.k * (0.5 + self.beta_sq_h * t ** (self.two_h - 1.0)))
-                     - self.lam * t + (1.0 + self.s) * np.log(u) - u - self.log_gamma_s)
-        g = np.exp(log_g)
-        # g -> 0 as phi -> inf, also where an overflowed C makes log g = inf - inf
-        g[(log_g < LOG_FLOOR) | (u == 0.0)] = 0.0
+        y, x, log_phi = self._log_phi(t)
+        log_u = -log_phi
+        with np.errstate(over="ignore"):
+            u = np.exp(log_u)
+            q = _regularized_upper_gamma(self.s, u, log_u)
+            # ln C = ln(k/2) + ln(1 + 2H beta^2 t^(2H-1))
+            log_g = (_log1p_exp(y + np.log(self.two_h)) - x + (1.0 + self.s) * log_u - u
+                     + (self.log_half_k - gammaln(self.s)))
+            g = np.exp(log_g)
+        g[log_g < LOG_FLOOR] = 0.0
         return q, g
 
 
@@ -278,16 +277,17 @@ def _finite_phi(t: float, phi) -> float:
 def phi_closed(t: float, params: ModelParams) -> float:
     """Closed form of phi(t) = integral_0^t C(u) e^(-(2-alpha) r u) du, in model units.
 
-    That is s0^(2-alpha) times ``FirstPassageLaw.phi``, whose docstring
-    gives the formula.  Raises NumericalError where phi in model units is
-    not finite in double precision.
+    That is exp((2-alpha) ln s0 + ln phi) with ``FirstPassageLaw``'s phi,
+    whose docstring gives the formula.  Raises NumericalError where phi in
+    model units is not finite in double precision.
     """
     if t < 0.0:
         raise ValueError(f"phi requires t >= 0, got {t}")
     if t == 0.0:
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.float64(params.s0) ** (2.0 - params.alpha) * FirstPassageLaw.of([params]).phi(t)
+    log_phi = FirstPassageLaw.of([params])._log_phi(t)[2]
+    with np.errstate(over="ignore"):
+        phi = np.exp((2.0 - params.alpha) * math.log(params.s0) + log_phi)
     return _finite_phi(t, phi.item())
 
 
@@ -360,7 +360,8 @@ def default_probability(t: float, params: ModelParams) -> float:
 
     Q(t) = Gamma(1-xi, x0/phi(t)) / Gamma(1-xi), with Q(0) = 0.  Invariant
     to s0 because x0 and phi carry the same s0^(2-alpha) factor, so it is
-    evaluated with s0 = 1.
+    evaluated with s0 = 1.  Every accepted input has a Q, within the
+    accuracy ``FirstPassageLaw`` states.
     """
     if t < 0.0:
         raise ValueError(f"default_probability requires t >= 0, got {t}")

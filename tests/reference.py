@@ -2,8 +2,9 @@
 
 Nothing here imports the package's numerics: erfc comes from its own
 series/continued fraction, the classical square-root-model absorption
-probability and spread come straight from scipy primitives.  Values
-produced by these routines are what the package is checked against.
+probability and spread come straight from scipy primitives, and Q over the
+whole accepted domain comes from mpmath.  Values produced by these routines
+are what the package is checked against.
 """
 
 from __future__ import annotations
@@ -135,6 +136,36 @@ def default_probability_reference(t: float, r: float, sigma0: float, alpha: floa
     return float(gammaincc(1.0 / (2.0 - alpha), 1.0 / phi_reference(t, r, sigma0, alpha,
                                                                      beta, hurst)))
 
+
+def default_probability_mpmath(t: float, r: float, sigma0: float, alpha: float,
+                               beta: float, hurst: float | None) -> float:
+    """Q(t) from the closed form of phi, in units with s0 = 1, in mpmath at 60 digits.
+
+        phi(t) = k [(1 - e^(-lambda t)) / (2 lambda) + beta^2 H lambda^(-2H) gamma(2H, lambda t)],
+
+    k = sigma0^2 (2-a)^2, lambda = (2-a) r, and phi = k (t + beta^2 t^(2H)) / 2 at
+    r = 0.  mpmath's exponent range holds every magnitude ModelParams
+    accepts.  1 - e^(-lambda t) is taken as -expm1(-lambda t): at 60 digits the
+    plain difference is 0 for lambda t < 1e-60.
+    """
+    if t == 0.0:
+        return 0.0
+    # imported here, so that perfbench, which loads this module for its
+    # other oracles, does not carry mpmath in its peak RSS
+    import mpmath as mp
+
+    with mp.workdps(60):
+        t, r, sigma0, beta = mp.mpf(t), mp.mpf(r), mp.mpf(sigma0), mp.mpf(beta)
+        two_a = 2 - mp.mpf(alpha)
+        h = mp.mpf(0.5 if hurst is None else hurst)
+        lam = two_a * r
+        k = sigma0 ** 2 * two_a ** 2
+        if lam == 0:
+            phi = k * (t + beta ** 2 * t ** (2 * h)) / 2
+        else:
+            phi = k * (-mp.expm1(-lam * t) / (2 * lam)
+                       + beta ** 2 * h * lam ** (-2 * h) * mp.gammainc(2 * h, 0, lam * t))
+        return float(mp.gammainc(1 / two_a, 1 / phi, mp.inf, regularized=True))
 
 
 def spread_reference_bps(maturity: float, r: float, sigma0: float, alpha: float,

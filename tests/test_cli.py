@@ -4,12 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mfcev.cds import CdsContract, cds_spread
 from mfcev.cli import _fmt_bps, _fmt_prob, main
 from mfcev.core import ModelParams
 from mfcev.mc import McConfig, mc_cds_spread, mc_default_probability
+
+from reference import default_probability_mpmath
 
 DATA = Path(__file__).resolve().parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -214,17 +217,25 @@ class TestCurveCommand:
         assert "nan" not in proc.stdout
         assert proc.stderr == ""
 
-    @pytest.mark.parametrize("flags", [
-        ["--alpha=0", "--sigma0=1e300", "--rate=1e308", "--points=3"],
-        ["--alpha=-1000", "--sigma0=1e152", "--rate=0.05", "--points=2"],
-    ], ids=["phi-nan", "phi-inf-small-s"])
-    def test_q_out_of_double_range_exits_3(self, flags):
-        # phi = inf * 0 = NaN; or phi = inf at s = 1/1002, where Q = 1 would
-        # be wrong (mpmath gives 0.50698)
-        proc = run_module("curve", *flags, "--beta=0", "--tmax=1")
-        assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith("error: numerical failure: default probability")
+    @pytest.mark.parametrize("alpha,sigma0,beta,hurst,rate,tmax,points", [
+        (0.0, 1e300, 0.0, None, 1e308, 1.0, 3),
+        (-1000.0, 1e152, 0.0, None, 0.05, 1.0, 2),
+        (-4.39472047117617, 1.6903972019644846e+123, 1.2974135131638122e+146,
+         0.7722281236936771, 0.0, 2.767911905172026e-287, 3),
+        (0.0, 1e150, 1e160, 0.8, 0.0, 1e-250, 2),
+    ], ids=["phi-nan", "phi-inf-small-s", "t-power-underflows", "beta-squared-overflows"])
+    def test_q_out_of_double_range_exits_3(self, alpha, sigma0, beta, hurst, rate, tmax,
+                                           points):
+        # a factor of phi leaves the double range while ln phi does not: k and
+        # lambda overflow, phi is near DBL_MAX at s = 1/1002, t^(2H) underflows,
+        # or beta^2 overflows.  Every Q printed is mpmath's, with no warning.
+        model = f"--beta={beta!r}" if hurst is None else f"--series={beta!r}:{hurst!r}"
+        proc = run_module("curve", f"--alpha={alpha!r}", f"--sigma0={sigma0!r}", model,
+                          f"--rate={rate!r}", f"--tmax={tmax!r}", f"--points={points}")
+        assert proc.returncode == 0 and proc.stderr == ""
+        expected = [_fmt_prob(default_probability_mpmath(t, rate, sigma0, alpha, beta, hurst),
+                              None) for t in np.linspace(0.0, tmax, points)]
+        assert [line.split(",")[1] for line in proc.stdout.splitlines()[1:]] == expected
 
     def test_overflowing_rate_prints_zeros(self):
         # lambda = (2-alpha) r overflows; phi -> 0 and Q = 0 at every t
@@ -487,6 +498,19 @@ def test_curve_needs_beta_without_series(capsys):
     code, out, err = run_cli(capsys, *(arg for arg in required_run("curve") if arg != "--beta=0"))
     assert code == 2 and out == ""
     assert err == "error: invalid parameter 'beta': missing required parameter --beta\n"
+
+
+@pytest.mark.parametrize("command", REQUIRED_FLAGS)
+def test_initial_price_is_not_a_setting(capsys, tmp_path, command):
+    # no output depends on s0, so neither a flag nor a scenario line sets it
+    with pytest.raises(SystemExit) as exc:
+        main([*required_run(command), "--s0=50"])
+    assert exc.value.code == 2
+    scenario = tmp_path / "s0.scn"
+    scenario.write_text("s0 = 50\n")
+    code, out, err = run_cli(capsys, *required_run(command), f"--scenario={scenario}")
+    assert code == 2 and out == ""
+    assert "unknown key 's0'" in err
 
 
 @pytest.mark.parametrize("argv", [["table1", "--maturities=1"],

@@ -11,8 +11,8 @@ from mfcev.core import (Q_SPLIT_U, FirstPassageLaw, ModelParams, default_probabi
 from mfcev.errors import NumericalError, ParameterError
 from mfcev.mc import McConfig, simulate_fpt
 
-from reference import (cev_default_probability, default_probability_reference,
-                       erfc_reference)
+from reference import (cev_default_probability, default_probability_mpmath,
+                       default_probability_reference, erfc_reference)
 
 
 class TestModelParams:
@@ -248,7 +248,7 @@ class TestDefaultProbability:
 
 
 class TestDoubleRange:
-    """phi(t) = inf at every t > 0 once sigma0^2 (2-alpha)^2 overflows."""
+    """Inputs where a factor of phi, or phi itself, leaves the double range."""
 
     @staticmethod
     def law(alpha, sigma0=1e300, **kwargs):
@@ -257,37 +257,36 @@ class TestDoubleRange:
         return FirstPassageLaw.of([ModelParams(**base)])
 
     def test_q_is_one_where_exact_and_nan_below(self):
-        # Q(s, u < 1/DBL_MAX) rounds to 1 only for s > 0.053: alpha = -16
-        # has s = 1/18, alpha = -17 has s = 1/19
+        # phi(t > 0) is near or beyond DBL_MAX: Q(s, u < 1/DBL_MAX) rounds to 1
+        # for s = 1/2, 1/18 and 1/19, but is about 0.5 at s = 1/1002; Q comes
+        # from ln phi on every row, and is mpmath's
         t = np.array([0.0, 0.5, 1.0])
-        for alpha in (0.0, -16.0):
-            q, g = self.law(alpha).q_and_g(t[1:])
-            assert q.tolist() == [[1.0, 1.0]] and g.tolist() == [[0.0, 0.0]]
-            assert self.law(alpha).q(t).tolist() == [[0.0, 1.0, 1.0]]
-        for alpha, sigma0 in ((-17.0, 1e300), (-1000.0, 1e152)):
-            q, g = self.law(alpha, sigma0).q_and_g(t[1:])
-            assert np.isnan(q).all() and np.isnan(g).all()
-            assert self.law(alpha, sigma0).q(t[:1]).tolist() == [[0.0]]
-            with pytest.raises(NumericalError, match="double range"):
-                self.law(alpha, sigma0).q(t)
+        for alpha, sigma0 in ((0.0, 1e300), (-16.0, 1e300), (-17.0, 1e300), (-1000.0, 1e152)):
+            law = self.law(alpha, sigma0)
+            expected = [default_probability_mpmath(ti, 0.05, sigma0, alpha, 0.0, None)
+                        for ti in t]
+            np.testing.assert_allclose(law.q(t)[0], expected, rtol=1e-11, atol=0.0)
+            q, g = law.q_and_g(t[1:])
+            assert np.array_equal(q, law.q(t[1:]))
+            assert np.all((g >= 0.0) & np.isfinite(g))
 
     def test_nan_phi_gives_nan_q(self):
-        # lambda = (2-alpha) r and k both overflow: phi = inf * 0
+        # lambda = (2-alpha) r and k both overflow, while phi(1) ~ 1e292 does
+        # not; Q is mpmath's, 1 at t > 0
         law = self.law(0.0, r=1e308)
-        assert np.isnan(law.q_and_g(np.array([1.0]))[0]).all()
-        assert law.q(np.array([0.0])).tolist() == [[0.0]]
-        with pytest.raises(NumericalError):
-            law.q(np.array([0.0, 1.0]))
+        expected = [default_probability_mpmath(t, 1e308, 1e300, 0.0, 0.0, None)
+                    for t in (0.0, 1.0)]
+        assert expected == [0.0, 1.0]
+        assert law.q(np.array([0.0, 1.0])).tolist() == [expected]
+        assert law.q_and_g(np.array([1.0]))[0].tolist() == [expected[1:]]
 
     def test_default_probability_raises(self):
-        p = ModelParams(r=0.05, sigma0=1e152, alpha=-1000.0, beta=0.0, hurst=0.8)
-        assert default_probability(0.0, p) == 0.0
-        with pytest.raises(NumericalError, match="double range"):
-            default_probability(1.0, p)
-        # just inside the range it prices; the value is mpmath's at 50 digits
-        assert default_probability(1.0, ModelParams(r=0.05, sigma0=1e151, alpha=-1000.0,
-                                                    beta=0.0, hurst=0.8)) == pytest.approx(
-            0.50470979643973276736, rel=1e-12)
+        # phi(1) ~ 1.0e308 at sigma0 = 1e152, ~1.0e306 at 1e151; the values
+        # are mpmath's at 60 digits
+        for sigma0, expected in ((1e152, 0.50698091642584779), (1e151, 0.50470979643973276736)):
+            p = ModelParams(r=0.05, sigma0=sigma0, alpha=-1000.0, beta=0.0, hurst=0.8)
+            assert default_probability(0.0, p) == 0.0
+            assert default_probability(1.0, p) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs", [dict(), dict(sigma0=0.2, beta=1e300),
                                         dict(sigma0=1e-200, beta=1e300)])
@@ -312,11 +311,11 @@ class TestQEvaluator:
                         np.geomspace(1.3, 200.0, 60)[1:]])
 
     def law_and_times(self, u):
-        # r = 0 and beta = 0: phi(t) = sigma0^2 (2-alpha)^2 t / 2, so this t gives 1/phi = u
+        # r = 0 and beta = 0: phi(t) = (k/2) t, so this t gives 1/phi = u
         params = [ModelParams(r=0.0, sigma0=0.2, alpha=a, beta=0.0, hurst=0.8)
                   for a in self.ALPHAS]
         law = FirstPassageLaw.of(params)
-        return law, 2.0 / (law.k * u)
+        return law, 1.0 / (np.exp(law.log_half_k) * u)
 
     def test_matches_gammaincc(self):
         assert self.U.min() < Q_SPLIT_U < 50.0 < self.U.max()

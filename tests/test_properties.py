@@ -1,7 +1,8 @@
 """Property tests over the whole parameter domain that ModelParams accepts.
 
 Every accepted input must either price, or fail with a documented error and
-exit code; Q is checked against a scipy oracle in units with s0 = 1.  A
+exit code; Q is checked against a scipy oracle in units with s0 = 1, and
+against an mpmath oracle over every magnitude ModelParams accepts.  A
 classical row (beta = 0) gives the same bits with or without a Hurst exponent,
 a default curve is Q on the uniform grid, the Monte-Carlo default times are
 those of a plain loop over the seed's draws, and the Monte-Carlo spread is
@@ -12,6 +13,7 @@ import contextlib
 import io
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from mfcev.core import (FirstPassageLaw, ModelParams, default_probability, phi_c
 from mfcev.errors import NumericalError
 from mfcev.mc import SPREAD_BATCHES, McConfig, McResult, simulate_fpt, spread_estimate
 
-from reference import default_probability_reference
+from reference import default_probability_mpmath, default_probability_reference
 
 DOMAIN = dict(
     alpha=st.floats(min_value=-1000.0, max_value=2.0, exclude_max=True),
@@ -34,6 +36,21 @@ DOMAIN = dict(
     r=st.floats(min_value=0.0, max_value=5.0),
     maturity=st.floats(min_value=1e-3, max_value=100.0),
     sigma0=st.floats(min_value=0.05, max_value=1.0),
+)
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+#: every magnitude ModelParams accepts, log-uniform, with r = 0 and beta = 0 drawn as such
+WHOLE_DOMAIN = dict(
+    alpha=DOMAIN["alpha"],
+    hurst=DOMAIN["hurst"],
+    beta=st.just(0.0) | log_uniform(1e-3, 1e300),
+    r=st.just(0.0) | log_uniform(1e-12, 1e308),
+    t=log_uniform(1e-300, 1e300),
+    sigma0=log_uniform(1e-300, 1e300),
 )
 
 #: the documented exit codes of a pricing command: success, bad input, numerical failure
@@ -55,6 +72,19 @@ def test_default_probability_matches_oracle(alpha, hurst, beta, r, maturity, sig
     assert 0.0 <= q <= 1.0
     ref = default_probability_reference(maturity, r, sigma0, alpha, beta, hurst)
     assert q == pytest.approx(ref, rel=1e-8, abs=1e-300)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**WHOLE_DOMAIN)
+def test_q_matches_mpmath_over_the_whole_domain(alpha, hurst, beta, r, t, sigma0):
+    params = ModelParams(r=r, sigma0=sigma0, alpha=alpha, beta=beta, hurst=hurst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = default_probability(t, params)
+        q_with_g = FirstPassageLaw.of([params]).q_and_g(t)[0].item()
+    ref = default_probability_mpmath(t, r, sigma0, alpha, beta, hurst)
+    assert q == pytest.approx(ref, rel=1e-11, abs=1e-300)
+    assert q_with_g == q
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
