@@ -6,11 +6,12 @@ reference is still alive (no accrual for a default between payment dates).
 The equilibrium spread equates the two legs at inception.
 
 Every spread and annuity goes through one batched kernel, ``_price_batch``.
-For a batch of (params, contract) cells it evaluates Q and g on
-Gauss-Legendre panels equal in ln t from ``FirstPassageLaw.onset`` to T, in
-one array pass, and Q alone at T and the premium dates (``_schedule``).
-One convergence test, applied at every doubling of the panels, estimates
-each cell's quadrature error; only the cells that miss it are refined.
+For a batch of (params, contract) cells it reads Q once, at T and the
+premium dates (``_schedule``), and integrates both legs in one refinement
+loop.  Each pass evaluates Q and g on Gauss-Legendre panels equal in ln t
+from ``FirstPassageLaw.onset`` to T for the cells still unconverged,
+BASE_PANELS panels at first and twice as many each pass after; from the
+first doubling on, the change in a cell's integrals is its error estimate.
 ``ModelParams`` and ``CdsContract`` check themselves.  ``spread_table``
 builds every cell's inputs before it prices any, then feeds the kernel
 BATCH_CELLS cells at a time; every other caller prices one cell.
@@ -126,13 +127,6 @@ def _mesh(onset: np.ndarray, horizon: np.ndarray,
             (width * w).reshape(rows, -1))
 
 
-def _leg_integrals(law: FirstPassageLaw, t: np.ndarray, w: np.ndarray,
-                   q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The quadratures of e^(-rt) g(t) (row 0) and e^(-rt) Q(t) (row 1) over [0, T], per cell."""
-    wd = w * np.exp(-law.r * t)
-    return np.array([(wd * g).sum(axis=1), (wd * q).sum(axis=1)])
-
-
 def _schedule(contracts: list[CdsContract]) -> tuple[np.ndarray, np.ndarray]:
     """Premium dates and accrual fractions, one row per contract.
 
@@ -158,7 +152,9 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
 
     cross-checked against the density form (1-R) integral_0^T e^(-rt) g(t) dt.
     The annuity is sum_i accrual_i e^(-r t_i) (1 - Q(t_i)) over the premium
-    dates.  Returns (leg, annuity, errors); errors[i] is the NumericalError
+    dates.  Q at T and at the dates comes from one ``law.q`` call; the two
+    integrals come from the refinement loop, one ``q_and_g`` call per pass.
+    Returns (leg, annuity, errors); errors[i] is the NumericalError
     of cell i's leg (QuadratureError when refinement stops at MAX_PANELS,
     plain NumericalError when the two forms disagree beyond 1e-8 relative),
     else None.
@@ -168,46 +164,42 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
     lgd = np.array([1.0 - c.recovery for c in contracts])
     onset = law.onset(horizon)
     dates, accrual = _schedule(contracts)
-
-    # one pass over both starting meshes, and Q alone at T and the premium dates
-    coarse_t, coarse_w = _mesh(onset, horizon, BASE_PANELS)
-    fine_t, fine_w = _mesh(onset, horizon, 2 * BASE_PANELS)
-    q, g = law.q_and_g(np.hstack([coarse_t, fine_t]))
-    n0 = coarse_t.shape[1]
-    legs = _leg_integrals(law, coarse_t, coarse_w, q[:, :n0], g[:, :n0])
-    new = _leg_integrals(law, fine_t, fine_w, q[:, n0:], g[:, n0:])
-    q_horizon = law.q(horizon)[:, 0]
+    q_dates = law.q(np.hstack([horizon, dates]))  # Q(T) in column 0
     # summed exactly, so that neither padding nor the batch moves a bit
     annuity = np.array([math.fsum(row) for row in
-                        accrual * np.exp(-law.r * dates) * (1.0 - law.q(dates))])
+                        accrual * np.exp(-law.r * dates) * (1.0 - q_dates[:, 1:])])
 
-    # each doubling of the panels: per cell, the larger of the two integrals'
-    # error estimates, and done once both meet the tolerance or one is not
+    # each pass integrates the unconverged rows on one mesh; from the first
+    # doubling on, a cell's error estimate is the larger change of its two
+    # integrals, and it is done once both meet the tolerance or one is not
     # finite; a full-recovery leg is worth 0 whatever the integrals are
     priced = lgd != 0.0
+    legs = np.zeros((2, len(contracts)))
     err = np.zeros(len(contracts))
     done = ~priced
-    rows = slice(None)
-    panels = 2 * BASE_PANELS
+    rows, panels = slice(None), BASE_PANELS
     while True:
-        with np.errstate(invalid="ignore"):  # inf - inf on legs that are not finite
-            diff = np.abs(new - legs[:, rows])
-        err[rows] = diff.max(axis=0)
-        done[rows] |= ((diff <= np.maximum(EPSREL * np.abs(new), EPSABS)).all(axis=0)
-                       | ~np.isfinite(new).all(axis=0))
+        sub = law.take(rows)
+        t, w = _mesh(onset[rows], horizon[rows], panels)
+        q, g = sub.q_and_g(t)
+        w *= np.exp(-sub.r * t)
+        new = np.array([(w * g).sum(axis=1), (w * q).sum(axis=1)])
+        if panels > BASE_PANELS:
+            with np.errstate(invalid="ignore"):  # inf - inf on legs that are not finite
+                diff = np.abs(new - legs[:, rows])
+            err[rows] = diff.max(axis=0)
+            done[rows] |= ((diff <= np.maximum(EPSREL * np.abs(new), EPSABS)).all(axis=0)
+                           | ~np.isfinite(new).all(axis=0))
         legs[:, rows] = new
         rows = np.flatnonzero(~done)
         if rows.size == 0 or panels >= MAX_PANELS:
             break
         panels *= 2
-        sub = law.take(rows)
-        t, w = _mesh(onset[rows], horizon[rows], panels)
-        new = _leg_integrals(sub, t, w, *sub.q_and_g(t))
 
     density, survival = legs
     r = law.r[:, 0]
     v_density = lgd * density
-    v_parts = lgd * (np.exp(-r * horizon[:, 0]) * q_horizon + r * survival)
+    v_parts = lgd * (np.exp(-r * horizon[:, 0]) * q_dates[:, 0] + r * survival)
     # triage in this order: leg not finite, unconverged, the two forms disagreeing
     finite_leg = np.isfinite(v_density) & np.isfinite(v_parts)
     with np.errstate(invalid="ignore"):  # inf - inf on the cells that are not finite

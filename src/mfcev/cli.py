@@ -122,8 +122,10 @@ def _merge(args: argparse.Namespace, command: _Command) -> dict:
         if value is _REQUIRED:
             raise ParameterError(name, f"missing required parameter --{name}")
         merged[name] = value
-    if merged["precision"] is not None and merged["precision"] < 0:
-        raise ParameterError("precision", f"precision must be >= 0, got {merged['precision']}")
+    # a double's exact decimal expansion has at most 1,074 fractional digits
+    if merged["precision"] is not None and not 0 <= merged["precision"] <= 1100:
+        raise ParameterError("precision",
+                             f"precision must lie in [0, 1100], got {merged['precision']}")
     return merged
 
 
@@ -229,7 +231,7 @@ def cmd_validate(merged: dict) -> int:
     cfg = mc.McConfig(n_paths=merged["paths"], n_steps=merged["steps"],
                       horizon=merged["maturity"], seed=merged["seed"])
 
-    # the analytic side first, so inputs beyond the double range fail before simulating
+    # the analytic side first, so a cell the kernel cannot price fails before simulating
     analytic_q = default_probability(merged["maturity"], params)
     analytic_spread = cds_spread(contract, params)
     # one simulation to the maturity feeds both estimators

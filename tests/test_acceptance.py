@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 are produced.  Criterion 7 simulates 2e5 paths x 5000 steps three times and
-dominates the runtime (about 85 s on a 2-vCPU x86-64 VM).
+dominates the runtime (about 75 s on a 2-vCPU x86-64 VM).
 """
 
 import math

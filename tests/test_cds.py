@@ -15,6 +15,8 @@ from mfcev.errors import NumericalError, ParameterError, QuadratureError
 
 from reference import TABLE1_BPS, cev_spread_bps, spread_reference_bps, table1_tolerance
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 class TestCdsContract:
     @pytest.mark.parametrize("field,kwargs", [
@@ -189,6 +191,14 @@ class TestSpreadTable:
             ref = TABLE1_BPS[(cell.beta, cell.hurst)][(int(cell.maturity), int(cell.alpha))]
             assert abs(cell.spread_bps - ref) <= table1_tolerance(ref), (cell, ref)
 
+    def test_benchmark_grid_bits(self, fig_params):
+        # table1.csv keeps 4 decimals; this file holds every spread's double, as repr
+        lines = (DATA / "table1_bits.csv").read_text().splitlines()[1:]
+        cells = spread_table(fig_params(), [0.0, -2.0], self.BETAS_HURSTS,
+                             [1.0, 2.0, 5.0, 10.0])
+        assert [f"{c.beta!r},{c.hurst!r},{c.alpha!r},{c.maturity!r},{c.spread_bps!r}"
+                for c in cells] == lines
+
     def test_empty_maturities(self, fig_params):
         assert spread_table(fig_params(), [0.0], self.BETAS_HURSTS, []) == []
 
@@ -269,6 +279,40 @@ class TestSpreadTable:
                 continue
             assert cell.error is None
             assert cell.spread_bps == cds_spread(contract, params)
+
+
+class TestRefinementLoop:
+    @staticmethod
+    def record(monkeypatch):
+        """The shape of every times array that Q, and Q with g, are evaluated on."""
+        shapes = {"q": [], "q_and_g": []}
+        for name, calls in shapes.items():
+            def recording(self, t, exact=getattr(FirstPassageLaw, name), calls=calls):
+                calls.append(t.shape)
+                return exact(self, t)
+            monkeypatch.setattr(FirstPassageLaw, name, recording)
+        return shapes
+
+    def test_benchmark_grid_takes_two_meshes(self, fig_params, monkeypatch):
+        # every cell converges at the first doubling; Q is read once, at T
+        # and the 20 semi-annual dates of the longest contract
+        shapes = self.record(monkeypatch)
+        spread_table(fig_params(), [0.0, -2.0], TestSpreadTable.BETAS_HURSTS,
+                     [1.0, 2.0, 5.0, 10.0])
+        nodes = cds.BASE_PANELS * cds.GL_ORDER
+        assert shapes == {"q": [(40, 21)], "q_and_g": [(40, nodes), (40, 2 * nodes)]}
+
+    def test_only_unconverged_rows_are_refined(self, fig_params, monkeypatch):
+        # the T = 100 cell needs 16 panels, the T = 5 cell 8
+        shapes = self.record(monkeypatch)
+        cells = spread_table(fig_params(), [-2.0], [(1.0, 0.9)], [5.0, 100.0])
+        nodes = cds.BASE_PANELS * cds.GL_ORDER
+        assert shapes["q_and_g"] == [(2, nodes), (2, 2 * nodes), (1, 4 * nodes)]
+        monkeypatch.undo()
+        for cell in cells:
+            assert cell.spread_bps == cds_spread(CdsContract(maturity=cell.maturity,
+                                                             recovery=0.5),
+                                                 fig_params(alpha=-2.0, beta=1.0, hurst=0.9))
 
 
 class TestDefaultCurve:

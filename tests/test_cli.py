@@ -224,7 +224,7 @@ class TestCurveCommand:
          0.7722281236936771, 0.0, 2.767911905172026e-287, 3),
         (0.0, 1e150, 1e160, 0.8, 0.0, 1e-250, 2),
     ], ids=["phi-nan", "phi-inf-small-s", "t-power-underflows", "beta-squared-overflows"])
-    def test_q_out_of_double_range_exits_3(self, alpha, sigma0, beta, hurst, rate, tmax,
+    def test_factor_out_of_double_range_prints_mpmath_q(self, alpha, sigma0, beta, hurst, rate, tmax,
                                            points):
         # a factor of phi leaves the double range while ln phi does not: k and
         # lambda overflow, phi is near DBL_MAX at s = 1/1002, t^(2H) underflows,
@@ -442,26 +442,6 @@ def cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
 
 
-MODEL_RUN = ["--alpha=-2", "--beta=0.5", "--hurst=0.8", "--sigma0=0.2", "--rate=0.05"]
-
-
-@pytest.mark.parametrize("argv,constraint", [
-    (["spread", *MODEL_RUN, "--recovery=0.5", "--maturity=10", "--freq=1000000000000"],
-     "payments_per_year"),
-    (["curve", *MODEL_RUN, "--tmax=1", "--points=1000000000000"], "n_points"),
-    (["validate", *MODEL_RUN, "--maturity=2", "--paths=1000000000", "--steps=2", "--seed=1"],
-     "n_paths"),
-    (["validate", *MODEL_RUN, "--maturity=2", "--paths=1", "--steps=2000000000", "--seed=1"],
-     "n_steps"),
-], ids=["premium-dates", "curve-points", "paths", "steps"])
-def test_oversized_inputs_exit_2(argv, constraint):
-    # each asked numpy or a list for gigabytes to terabytes before its cap
-    proc = run_module(*argv, preexec_fn=cap_address_space)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith(f"error: invalid parameter '{constraint}': ")
-    assert proc.stderr.count("\n") == 1
-
-
 #: per command, every flag it requires, with a value that runs; curve also
 #: needs --beta when it has no --series
 REQUIRED_FLAGS = {
@@ -478,6 +458,30 @@ EXTRA_FLAGS = {"curve": ["--beta=0"]}
 def required_run(command, leave_out=None):
     return [command, *(f"--{name}={value}" for name, value in REQUIRED_FLAGS[command].items()
                        if name != leave_out), *EXTRA_FLAGS.get(command, [])]
+
+
+MODEL_RUN = ["--alpha=-2", "--beta=0.5", "--hurst=0.8", "--sigma0=0.2", "--rate=0.05"]
+
+
+@pytest.mark.parametrize("argv,constraint", [
+    (["spread", *MODEL_RUN, "--recovery=0.5", "--maturity=10", "--freq=1000000000000"],
+     "payments_per_year"),
+    (["curve", *MODEL_RUN, "--tmax=1", "--points=1000000000000"], "n_points"),
+    (["validate", *MODEL_RUN, "--maturity=2", "--paths=1000000000", "--steps=2", "--seed=1"],
+     "n_paths"),
+    (["validate", *MODEL_RUN, "--maturity=2", "--paths=1", "--steps=2000000000", "--seed=1"],
+     "n_steps"),
+    *(([*required_run(command), "--precision=2000000000"], "precision")
+      for command in REQUIRED_FLAGS),
+], ids=["premium-dates", "curve-points", "paths", "steps",
+        *(f"precision-{command}" for command in REQUIRED_FLAGS)])
+def test_oversized_inputs_exit_2(argv, constraint):
+    # each asked numpy or a list for gigabytes to terabytes before its cap;
+    # a precision of 2e9 asked the formatter for a 2 GB string
+    proc = run_module(*argv, preexec_fn=cap_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: invalid parameter '{constraint}': ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", REQUIRED_FLAGS)

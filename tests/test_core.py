@@ -147,8 +147,8 @@ class TestPhi:
         p = fig_params(alpha=alpha, beta=beta, hurst=hurst)
         assert phi_closed(t, p) == pytest.approx(phi_quadrature(t, p), rel=1e-8)
 
-    def test_rate_branch_consistency(self):
-        # closed form just above the r -> 0 switch agrees with the limit branch
+    def test_small_rate_approaches_zero_rate(self):
+        # phi at r = 1e-10 agrees with phi at r = 0, its r -> 0 limit
         common = dict(sigma0=0.2, alpha=0.0, beta=0.5, hurst=0.8, s0=50.0)
         above = phi_closed(2.0, ModelParams(r=1e-10, **common))
         at_limit = phi_closed(2.0, ModelParams(r=0.0, **common))
@@ -256,7 +256,7 @@ class TestDoubleRange:
         base.update(kwargs)
         return FirstPassageLaw.of([ModelParams(**base)])
 
-    def test_q_is_one_where_exact_and_nan_below(self):
+    def test_q_matches_mpmath_where_phi_nears_dbl_max(self):
         # phi(t > 0) is near or beyond DBL_MAX: Q(s, u < 1/DBL_MAX) rounds to 1
         # for s = 1/2, 1/18 and 1/19, but is about 0.5 at s = 1/1002; Q comes
         # from ln phi on every row, and is mpmath's
@@ -270,7 +270,7 @@ class TestDoubleRange:
             assert np.array_equal(q, law.q(t[1:]))
             assert np.all((g >= 0.0) & np.isfinite(g))
 
-    def test_nan_phi_gives_nan_q(self):
+    def test_q_matches_mpmath_where_lambda_and_k_overflow(self):
         # lambda = (2-alpha) r and k both overflow, while phi(1) ~ 1e292 does
         # not; Q is mpmath's, 1 at t > 0
         law = self.law(0.0, r=1e308)
@@ -280,7 +280,7 @@ class TestDoubleRange:
         assert law.q(np.array([0.0, 1.0])).tolist() == [expected]
         assert law.q_and_g(np.array([1.0]))[0].tolist() == [expected[1:]]
 
-    def test_default_probability_raises(self):
+    def test_default_probability_matches_mpmath_near_dbl_max(self):
         # phi(1) ~ 1.0e308 at sigma0 = 1e152, ~1.0e306 at 1e151; the values
         # are mpmath's at 60 digits
         for sigma0, expected in ((1e152, 0.50698091642584779), (1e151, 0.50470979643973276736)):
