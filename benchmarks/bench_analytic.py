@@ -17,6 +17,9 @@ the cells it hands the kernel, recorded by wrapping
     spread_table      ``cds.spread_table`` on the grid
     cds_spread_T1     one ``cds_spread`` of the fractional benchmark cell
     cds_spread_T10    (alpha = -2, beta = 0.5, H = 0.8) at T = 1 and T = 10
+    cli_parse_table1  ``cli.build_parser`` of the command plus ``parse_args``,
+    cli_parse_curve   as ``mfcev.cli.main`` does, on ``table1`` and on a
+                      41-point, 3-series ``curve`` argv
 
 Each figure is the median over ``--repeat`` rounds of the mean of
 ``--inner`` back-to-back calls; a round times every layer in turn.  Run as
@@ -39,7 +42,7 @@ import numpy as np
 import scipy
 from scipy.special import gammainc, gammaincc
 
-from mfcev import cds
+from mfcev import cds, cli
 from mfcev.cds import CdsContract, cds_spread, spread_table
 from mfcev.cli import TABLE1_ALPHAS, TABLE1_BETA_HURST, TABLE1_MATURITIES
 from mfcev.core import FirstPassageLaw, ModelParams
@@ -51,6 +54,15 @@ RECOVERY = 0.5
 CELL = ModelParams(r=0.05, sigma0=0.2, alpha=-2.0, beta=0.5, hurst=0.8, s0=50.0)
 #: u = 1/phi at which the bands are split
 BAND_U = 1.1
+#: command lines of the shapes the table1 and curve ops pass
+TABLE1_ARGV = ["table1"]
+CURVE_ARGV = ["curve", "--alpha=-2.0", "--sigma0=0.2", "--rate=0.05", "--tmax=10.0",
+              "--points=41", "--series=0.0", "--series=0.5:0.8", "--series=1.0:0.9"]
+
+
+def cli_parse(argv: list[str]):
+    """``build_parser`` plus ``parse_args``, as ``mfcev.cli.main`` runs them."""
+    return cli.build_parser(argv[0]).parse_args(argv)
 
 
 def run_table1():
@@ -102,6 +114,8 @@ def layers() -> tuple[dict, dict]:
         "spread_table": run_table1,
         "cds_spread_T1": lambda: cds_spread(t1, CELL),
         "cds_spread_T10": lambda: cds_spread(t10, CELL),
+        "cli_parse_table1": lambda: cli_parse(TABLE1_ARGV),
+        "cli_parse_curve": lambda: cli_parse(CURVE_ARGV),
     }
     nodes = {"q_and_g_calls": len(calls),
              "low": int(sum(u.size for _, u in low)),
@@ -146,7 +160,7 @@ def main() -> int:
           f"{nodes['low']} nodes with u < {BAND_U:g}, {nodes['high']} with u >= {BAND_U:g} "
           f"(median of {args.repeat} x {args.inner})")
     for name, ms in result["ms"].items():
-        print(f"  {name:<15} : {ms:8.3f} ms")
+        print(f"  {name:<16} : {ms:8.3f} ms")
     return 0
 
 

@@ -133,11 +133,12 @@ def _schedule(contracts: list[CdsContract]) -> tuple[np.ndarray, np.ndarray]:
     Row j holds contract j's dates i/freq, i = 1, 2, ..., up to the first
     at or past its maturity (less 1e-12 of slack), padded to the longest
     schedule with the maturity and a zero accrual, so padding adds nothing
-    to the annuity.
+    to the annuity.  A contract within the slack of 0 payment periods keeps
+    its first date, so every contract has at least one.
     """
     maturity = np.array([[c.maturity] for c in contracts])
     freq = np.array([[c.payments_per_year] for c in contracts], dtype=float)
-    count = np.ceil(maturity * freq - 1e-12)
+    count = np.maximum(np.ceil(maturity * freq - 1e-12), 1.0)
     i = np.arange(1.0, count.max() + 1.0)
     paid = i <= count
     return np.where(paid, i / freq, maturity), np.where(paid, 1.0 / freq, 0.0)

@@ -280,19 +280,24 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the flags of ``command`` only, or
+    of every command when it is None; each flag costs argparse a formatter."""
     parser = argparse.ArgumentParser(
         prog="mfcev",
         description="Default probabilities and CDS spreads under the "
                     "mixed-fractional CEV model.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        _add_flags(sub.add_parser(name, help=command.help), command.flags)
+    for name, spec in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=spec.help)
+        if command in (None, name):
+            _add_flags(subparser, spec.flags)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     command = _COMMANDS[args.command]
     try:
         return command.run(_merge(args, command))

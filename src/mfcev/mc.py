@@ -26,9 +26,12 @@ no later step reads as a default.
 
 The draws take most of a simulation's time, so ``simulate_fpt`` hands them
 to one worker thread that owns the generator.  It draws the steps in order,
-at most ``DRAW_LOOKAHEAD`` steps ahead of the step kernel, which runs on the
-calling thread while numpy's draw releases the interpreter lock.  The draw
-layout, and so every default time, is the same as one thread drawing
+at most ``DRAW_LOOKAHEAD`` tasks ahead of the step kernel, which runs on the
+calling thread while numpy's draw releases the interpreter lock.  Below
+``DRAW_TASK_NORMALS`` paths a task draws k = ceil(DRAW_TASK_NORMALS /
+n_paths) steps at once, as one (k, n_paths) array, so that each handoff
+carries about that many normals; from there on a task draws one step.  The
+draw layout, and so every default time, is the same as one thread drawing
 before each step.  The worker is joined before ``simulate_fpt`` returns or
 raises, and an error in a draw is raised in the caller.
 
@@ -40,6 +43,7 @@ and ``spread_estimate`` the CDS spread, so one simulation serves both.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -64,8 +68,11 @@ MAX_STEPS = 10_000_000
 #: number of contiguous path batches used for spread standard errors
 SPREAD_BATCHES = 20
 
-#: steps whose normals the draw thread may hold ready ahead of the step kernel
+#: draw tasks whose normals the draw thread may hold ready ahead of the step kernel
 DRAW_LOOKAHEAD = 2
+#: normals per draw task at least: a task draws ceil(DRAW_TASK_NORMALS / n_paths)
+#: steps, which is one step from this many paths on
+DRAW_TASK_NORMALS = 20_000
 
 
 def have_compiled_kernel() -> bool:
@@ -146,20 +153,27 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
     work = np.empty(n)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
 
+    # each task draws the next `block` steps, fewer at the end: the bits of
+    # as many consecutive standard_normal(n) calls
+    block = -(-DRAW_TASK_NORMALS // n)
+    shapes = ((min(block, cfg.n_steps - first), n) for first in range(0, cfg.n_steps, block))
     drawer = ThreadPoolExecutor(max_workers=1)
     try:
-        ahead = deque(drawer.submit(rng.standard_normal, n)
-                      for _ in range(min(DRAW_LOOKAHEAD, cfg.n_steps)))
-        n_alive = n
-        for k in range(cfg.n_steps):
-            z = ahead.popleft().result()
-            if k + DRAW_LOOKAHEAD < cfg.n_steps:
-                ahead.append(drawer.submit(rng.standard_normal, n))
-            n_alive = _mc_fallback.step_paths(x, default_time, z, adt, float(b_steps[k]),
-                                              float(csd_steps[k]), float(tgrid[k + 1]), work,
-                                              n_alive)
-            if n_alive == 0:
-                break
+        ahead = deque(drawer.submit(rng.standard_normal, shape)
+                      for shape in itertools.islice(shapes, DRAW_LOOKAHEAD))
+        n_alive, k = n, 0
+        while ahead and n_alive:
+            draws = ahead.popleft().result()
+            shape = next(shapes, None)
+            if shape is not None:
+                ahead.append(drawer.submit(rng.standard_normal, shape))
+            for z in draws:
+                n_alive = _mc_fallback.step_paths(x, default_time, z, adt, float(b_steps[k]),
+                                                  float(csd_steps[k]), float(tgrid[k + 1]),
+                                                  work, n_alive)
+                k += 1
+                if n_alive == 0:
+                    break
     finally:
         drawer.shutdown(cancel_futures=True)
     return default_time

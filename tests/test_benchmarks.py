@@ -28,7 +28,8 @@ def test_bench_analytic():
     assert nodes["q_and_g_calls"] >= 1 and nodes["low"] + nodes["high"] > 0
     assert set(result["ms"]) == {"gammaincc_low", "gammaincc_high", "complement_low", "phi",
                                  "q", "q_and_g", "price_batch", "spread_table",
-                                 "cds_spread_T1", "cds_spread_T10"}
+                                 "cds_spread_T1", "cds_spread_T10", "cli_parse_table1",
+                                 "cli_parse_curve"}
     assert all(ms > 0.0 for ms in result["ms"].values())
 
 

@@ -38,6 +38,12 @@ class TestCdsContract:
             CdsContract(**base)
         assert err.value.constraint == field
 
+    def test_contract_within_the_date_slack_keeps_its_first_date(self):
+        # ceil(T * freq - 1e-12) is 0 here; the schedule still holds 1/freq
+        assert CdsContract(maturity=4e-13, recovery=0.5).payment_times() == [0.5]
+        assert CdsContract(maturity=1e-300, recovery=0.5,
+                           payments_per_year=4).payment_times() == [0.25]
+
     def test_premium_date_cap(self):
         # ceil(maturity * freq) may reach MAX_PREMIUM_DATES, not pass it; a
         # freq too large for a float is rejected, not converted

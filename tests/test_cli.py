@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mfcev import cli
 from mfcev.cds import CdsContract, cds_spread
-from mfcev.cli import _fmt_bps, _fmt_prob, main
+from mfcev.cli import _fmt_bps, _fmt_prob, build_parser, main
 from mfcev.core import ModelParams
 from mfcev.mc import McConfig, mc_cds_spread, mc_default_probability
 
@@ -538,3 +539,67 @@ def test_module_entry_point():
         env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0
     assert proc.stdout == "121.0740\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spread", "--alpha=0", "--beta=0", "--hurst=0.8", "--sigma0=0.2", "--rate=0.05",
+     "--recovery=0.5", "--maturity=4e-13"],
+    ["validate", "--alpha=0", "--beta=0", "--hurst=0.8", "--sigma0=0.2", "--rate=0.05",
+     "--maturity=1e-300", "--paths=1000", "--steps=10", "--seed=1"],
+], ids=["spread", "validate"])
+def test_contract_within_the_date_slack_prices(capsys, argv):
+    # T * freq <= 1e-12 once left the schedule empty, so the annuity was 0;
+    # the contract pays at its first date, and Q(T) = 0 makes the spread 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if argv[0] == "spread":
+        assert out == "0.0000\n"
+    else:
+        assert "analytic_spread_bps 0.0000\n" in out and "mc_spread_bps 0.0000\n" in out
+
+
+#: command lines that end in argparse: help, usage or an error
+PARSER_EXITS = {
+    "help": ["--help"],
+    **{f"{command}-help": [command, "--help"] for command in REQUIRED_FLAGS},
+    "no-arguments": [],
+    "unknown-command": ["frobnicate", "--alpha=0"],
+    **{f"{command}-unknown-flag": [*required_run(command), "--frobnicate=1"]
+       for command in REQUIRED_FLAGS},
+    "bad-points": [*required_run("curve"), "--points=x"],
+}
+
+
+def parser_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS.values(), ids=PARSER_EXITS)
+def test_parser_exits_match_the_parser_of_every_flag(capsys, argv):
+    # main builds the flags of the command it runs only; what argparse
+    # prints, and its exit code, are those of the parser with every flag
+    expected = parser_exit(capsys, build_parser().parse_args, argv)
+    assert parser_exit(capsys, main, argv) == expected
+    assert expected[1] or expected[2]
+
+
+def test_main_adds_the_flags_of_its_command_only(capsys, monkeypatch):
+    add_flags, added = cli._add_flags, []
+
+    def recording(sub, names):
+        added.append(sub.prog)
+        add_flags(sub, names)
+
+    monkeypatch.setattr(cli, "_add_flags", recording)
+    argv = required_run("curve")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out and err == ""
+    # without arguments main reads sys.argv, as argparse does
+    monkeypatch.setattr(sys, "argv", ["mfcev", *argv])
+    assert main() == 0 and capsys.readouterr().out == out
+    assert added == ["mfcev curve"] * 2
+    build_parser()
+    assert added[2:] == [f"mfcev {command}" for command in REQUIRED_FLAGS]

@@ -9,8 +9,8 @@ from mfcev import _mc_fallback
 from mfcev.cds import CdsContract, cds_spread
 from mfcev.core import ModelParams, default_probability
 from mfcev.errors import NumericalError, ParameterError
-from mfcev.mc import (MAX_PATH_STEPS, MAX_PATHS, MAX_STEPS, McConfig, mc_cds_spread,
-                      mc_default_probability, simulate_fpt)
+from mfcev.mc import (DRAW_TASK_NORMALS, MAX_PATH_STEPS, MAX_PATHS, MAX_STEPS, McConfig,
+                      mc_cds_spread, mc_default_probability, simulate_fpt)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -127,10 +127,13 @@ class TestDrawThread:
         assert threading.active_count() == before
         assert np.isnan(times).any()
 
-    def test_early_exit_matches_sequential_draws(self, monkeypatch):
-        # every path dies well before the horizon, so the loop stops early;
-        # its default times equal a loop drawing standard_normal(n) per step
-        doomed = ModelParams(r=0.0, sigma0=500.0, alpha=1.9, beta=0.0, hurst=None, s0=1.0)
+    #: every path defaults on one of the first few steps
+    DOOMED = ModelParams(r=0.0, sigma0=500.0, alpha=1.9, beta=0.0, hurst=None, s0=1.0)
+
+    @staticmethod
+    def simulate_and_replay(monkeypatch, params, cfg):
+        """The threaded default times, the steps it took, and the default
+        times of one thread drawing standard_normal(n) before each of them."""
         step = _mc_fallback.step_paths
         coefficients = []
 
@@ -141,19 +144,40 @@ class TestDrawThread:
         before = threading.active_count()
         with monkeypatch.context() as patch:
             patch.setattr(_mc_fallback, "step_paths", spy)
-            times = simulate_fpt(doomed, self.CFG)
+            times = simulate_fpt(params, cfg)
         assert threading.active_count() == before
-        assert 0 < len(coefficients) < self.CFG.n_steps
 
-        n = self.CFG.n_paths
-        rng = np.random.Generator(np.random.Philox(self.CFG.seed))
+        n = cfg.n_paths
+        rng = np.random.Generator(np.random.Philox(cfg.seed))
         x, expected, work = np.ones(n), np.full(n, np.nan), np.empty(n)
         n_alive = n
         for adt, b, csd, t_next in coefficients:
             n_alive = step(x, expected, rng.standard_normal(n), adt, b, csd, t_next, work,
                            n_alive)
-        assert n_alive == 0
+        # the loop stops early only once every path has defaulted
+        assert len(coefficients) == cfg.n_steps or n_alive == 0
+        return times, len(coefficients), expected
+
+    def test_early_exit_matches_sequential_draws(self, monkeypatch):
+        # every path dies well before the horizon, so the loop stops early;
+        # its default times equal a loop drawing standard_normal(n) per step
+        times, steps, expected = self.simulate_and_replay(monkeypatch, self.DOOMED, self.CFG)
+        assert 0 < steps < self.CFG.n_steps
         assert np.array_equal(times, expected)
+
+    @pytest.mark.parametrize("n", [1, 7, 2000, 19_999, 20_000])
+    @pytest.mark.parametrize("doomed", [False, True], ids=["some-default", "all-default"])
+    def test_draw_tasks_match_one_thread_loop(self, monkeypatch, n, doomed):
+        # a task draws k steps, so 2k + 1 steps end on a task of one step;
+        # doomed paths all default at once, and the loop stops mid-task
+        k = -(-DRAW_TASK_NORMALS // n)
+        cfg = McConfig(n_paths=n, n_steps=2 * k + 1, horizon=1.0, seed=5)
+        params = self.DOOMED if doomed else ModelParams(r=0.05, sigma0=0.8, alpha=-2.0,
+                                                        beta=0.5, hurst=0.8, s0=50.0)
+        times, steps, expected = self.simulate_and_replay(monkeypatch, params, cfg)
+        if doomed:
+            assert steps < cfg.n_steps and not np.isnan(times).any()
+        assert np.array_equal(times, expected, equal_nan=True)
 
     def test_step_error_reaches_caller(self, monkeypatch, fig_params):
         step = _mc_fallback.step_paths
