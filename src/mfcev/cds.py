@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +297,8 @@ def default_curve(params: ModelParams, t_max: float,
     """
     if not 0.0 < t_max < math.inf:
         raise ParameterError("t_max", f"t_max must be finite and > 0, got {t_max}")
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral):
+        raise ParameterError("n_points", f"n_points must be an integer, got {n_points!r}")
     if not 2 <= n_points <= MAX_CURVE_POINTS:
         raise ParameterError("n_points", f"n_points must lie in [2, {MAX_CURVE_POINTS}], "
                                          f"got {n_points}")

@@ -281,8 +281,8 @@ def phi_closed(t: float, params: ModelParams) -> float:
     whose docstring gives the formula.  Raises NumericalError where phi in
     model units is not finite in double precision.
     """
-    if t < 0.0:
-        raise ValueError(f"phi requires t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"phi requires a finite t >= 0, got {t}")
     if t == 0.0:
         return 0.0
     log_phi = FirstPassageLaw.of([params])._log_phi(t)[2]
@@ -304,8 +304,8 @@ def phi_quadrature(t: float, params: ModelParams) -> float:
     and NumericalError where phi in model units is not finite in double
     precision.
     """
-    if t < 0.0:
-        raise ValueError(f"phi requires t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"phi requires a finite t >= 0, got {t}")
     if t == 0.0:
         return 0.0
     # Importing scipy.integrate here keeps it (about 25 MB and 0.2 s) out of
@@ -350,8 +350,8 @@ def fpt_density(t: float, params: ModelParams) -> float:
 
     evaluated in log space; values below the exp floor are reported as 0.
     """
-    if t <= 0.0:
-        raise ValueError(f"fpt_density requires t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"fpt_density requires a finite t > 0, got {t}")
     return FirstPassageLaw.of([params]).q_and_g(t)[1].item()
 
 
@@ -363,6 +363,6 @@ def default_probability(t: float, params: ModelParams) -> float:
     evaluated with s0 = 1.  Every accepted input has a Q, within the
     accuracy ``FirstPassageLaw`` states.
     """
-    if t < 0.0:
-        raise ValueError(f"default_probability requires t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"default_probability requires a finite t >= 0, got {t}")
     return FirstPassageLaw.of([params]).q(t).item()

@@ -37,7 +37,8 @@ raises, and an error in a draw is raised in the caller.
 
 ``simulate_fpt`` returns the default times.  The estimators read them:
 ``default_probability_estimate`` gives the binomial default probability
-and ``spread_estimate`` the CDS spread, so one simulation serves both.
+and ``spread_estimate`` the CDS spread, a ratio of means whose standard
+error is the delta method's over every path, so one simulation serves both.
 ``mc_default_probability`` and ``mc_cds_spread`` simulate, then estimate.
 """
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,9 +67,6 @@ MAX_PATHS = 10_000_000
 #: and the step coefficients), so a grid at the cap takes about 400 MB
 MAX_STEPS = 10_000_000
 
-#: number of contiguous path batches used for spread standard errors
-SPREAD_BATCHES = 20
-
 #: draw tasks whose normals the draw thread may hold ready ahead of the step kernel
 DRAW_LOOKAHEAD = 2
 #: normals per draw task at least: a task draws ceil(DRAW_TASK_NORMALS / n_paths)
@@ -85,6 +84,7 @@ def have_compiled_kernel() -> bool:
 class McConfig:
     """Simulation controls: path count, uniform grid size on [0, horizon], master seed.
 
+    n_paths, n_steps and seed are integers (int or numpy integer, not bool);
     n_paths and n_steps are capped at MAX_PATHS and MAX_STEPS, and their
     product at MAX_PATH_STEPS.
     """
@@ -95,6 +95,10 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_paths", "n_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(name, f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_paths <= MAX_PATHS:
             raise ParameterError("n_paths",
                                  f"n_paths must lie in [1, {MAX_PATHS}], got {self.n_paths}")
@@ -194,9 +198,12 @@ def spread_estimate(default_time: np.ndarray, params: ModelParams, contract) -> 
     Per path, the protection payoff is (1-R) e^(-r tau) if default occurs
     by maturity and the annuity is the discounted sum of accruals at the
     payment dates strictly before tau, read from the running sum over the
-    dates in one lookup.  The estimate is the ratio of means; the
-    standard error comes from 20 contiguous path batches.  The simulation
-    horizon must reach the contract maturity.
+    dates in one lookup.  The estimate is the ratio of means s = P/A; its
+    standard error is the delta method's, the sample standard deviation of
+    the per-path residuals P - s A over sqrt(n) A (Asmussen & Glynn 2007,
+    ch. III), and 0 for one path.  Raises NumericalError when every path
+    defaults before the first payment date, so that the mean annuity is 0.
+    The simulation horizon must reach the contract maturity.
     """
     n = default_time.size
     maturity = contract.maturity
@@ -219,21 +226,9 @@ def spread_estimate(default_time: np.ndarray, params: ModelParams, contract) -> 
         raise NumericalError("every path defaulted before the first payment "
                              "date; the Monte-Carlo spread is undefined")
     estimate = 1e4 * float(np.mean(protection)) / mean_annuity
-
-    n_batches = min(SPREAD_BATCHES, n)
-    batch_spreads = []
-    for prot_b, ann_b in zip(np.array_split(protection, n_batches),
-                             np.array_split(annuity, n_batches)):
-        ann_mean = float(np.mean(ann_b))
-        if ann_mean <= 0.0:
-            raise NumericalError("a path batch defaulted entirely before the "
-                                 "first payment date; batch standard error "
-                                 "is undefined")
-        batch_spreads.append(1e4 * float(np.mean(prot_b)) / ann_mean)
-    if n_batches > 1:
-        std_error = float(np.std(batch_spreads, ddof=1)) / math.sqrt(n_batches)
-    else:
-        std_error = 0.0
+    # delta method for a ratio of means, from the per-path residuals P - s A
+    std_error = (float(np.std(1e4 * protection - estimate * annuity, ddof=1))
+                 / (math.sqrt(n) * mean_annuity) if n > 1 else 0.0)
 
     n_def = int(np.count_nonzero(defaulted))
     return McResult(estimate, std_error, n_def, n)

@@ -350,6 +350,10 @@ class TestDefaultCurve:
         with pytest.raises(ParameterError) as err:
             default_curve(fig_params(), 5.0, cds.MAX_CURVE_POINTS + 1)
         assert err.value.constraint == "n_points"
+        for n_points in (3.0, True):
+            with pytest.raises(ParameterError) as err:
+                default_curve(fig_params(), 1.0, n_points)
+            assert err.value.constraint == "n_points"
 
 
 class TestFailureContract:

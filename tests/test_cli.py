@@ -329,6 +329,21 @@ class TestValidateCommand:
         assert fields["z_score"] == f"{-q / math.sqrt(q * (1.0 - q) / 100):.2f}" == "-0.97"
         assert code == 0 and fields["result"].startswith("PASS")
 
+    @pytest.mark.parametrize("paths", ["20", "40"])
+    def test_spread_error_needs_no_surviving_batch(self, capsys, paths):
+        # some paths reach the first premium date, so the spread and its
+        # standard error are defined, though runs of consecutive paths all
+        # default before it
+        flags = ["--alpha=0", "--beta=1", "--hurst=0.9", "--sigma0=0.8", "--rate=0.05",
+                 "--maturity=2", f"--paths={paths}", "--steps=100", "--seed=7"]
+        code, out, _ = run_cli(capsys, "validate", *flags)
+        assert code in (0, 1)
+        fields = dict(line.split(" ", 1) for line in out.strip().split("\n"))
+        assert fields.pop("result").startswith(("PASS", "FAIL"))
+        assert len(fields) == 7
+        std_error = float(fields["mc_spread_std_error_bps"])
+        assert math.isfinite(std_error) and std_error > 0.0
+
     def test_zero_paths_exits_2(self, capsys):
         flags = self.VALIDATE_FLAGS[:-6] + ["--paths", "0", "--steps", "10",
                                             "--seed", "1"]

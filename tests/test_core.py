@@ -119,10 +119,12 @@ class TestPhi:
         assert phi_quadrature(0.0, fig_params()) == 0.0
 
     def test_negative_time(self, fig_params):
-        with pytest.raises(ValueError):
-            phi_closed(-0.1, fig_params())
-        with pytest.raises(ValueError):
-            phi_quadrature(-0.1, fig_params())
+        # NaN passes a bare t < 0 check, and an infinite t is no time either
+        for t in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                phi_closed(t, fig_params())
+            with pytest.raises(ValueError):
+                phi_quadrature(t, fig_params())
 
     def test_zero_rate_closed_form(self):
         # sigma^2 = 1, alpha = 0, beta = 1, H = 0.8:
@@ -167,10 +169,9 @@ class TestPhi:
 
 class TestFptDensity:
     def test_domain(self, fig_params):
-        with pytest.raises(ValueError):
-            fpt_density(0.0, fig_params())
-        with pytest.raises(ValueError):
-            fpt_density(-1.0, fig_params())
+        for t in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                fpt_density(t, fig_params())
 
     def test_vanishes_at_short_times(self, fig_params):
         assert fpt_density(1e-4, fig_params(alpha=0.0, beta=0.5)) == 0.0
@@ -191,8 +192,9 @@ class TestDefaultProbability:
         assert default_probability(0.0, fig_params()) == 0.0
 
     def test_negative_time(self, fig_params):
-        with pytest.raises(ValueError):
-            default_probability(-0.5, fig_params())
+        for t in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                default_probability(t, fig_params())
 
     def test_classical_erfc_reduction(self, fig_params):
         # alpha = 0, beta = 0: Q(T) = erfc(sqrt(r / (sigma0^2 (1 - e^(-2 r T)))))

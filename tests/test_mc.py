@@ -35,6 +35,10 @@ class TestMcConfig:
         ("horizon", dict(horizon=math.nan)),
         ("n_paths", dict(n_paths=MAX_PATHS + 1)),
         ("n_steps", dict(n_steps=MAX_STEPS + 1)),
+        ("n_paths", dict(n_paths=100.0)),
+        ("n_steps", dict(n_steps=10.5)),
+        ("seed", dict(seed=1.5)),
+        ("n_paths", dict(n_paths=True)),
     ])
     def test_constraints(self, field, kwargs):
         base = dict(n_paths=100, n_steps=10, horizon=1.0, seed=1)

@@ -25,7 +25,7 @@ from mfcev.cli import main
 from mfcev.core import (FirstPassageLaw, ModelParams, default_probability, phi_closed,
                         phi_quadrature)
 from mfcev.errors import NumericalError
-from mfcev.mc import SPREAD_BATCHES, McConfig, McResult, simulate_fpt, spread_estimate
+from mfcev.mc import McConfig, McResult, simulate_fpt, spread_estimate
 
 from reference import default_probability_mpmath, default_probability_reference
 
@@ -210,17 +210,8 @@ def spread_estimate_reference(default_time, params, contract):
         raise NumericalError("every path defaulted before the first payment "
                              "date; the Monte-Carlo spread is undefined")
     estimate = 1e4 * float(np.mean(protection)) / float(np.mean(annuity))
-    n_batches = min(SPREAD_BATCHES, n)
-    batch_spreads = []
-    for prot_b, ann_b in zip(np.array_split(protection, n_batches),
-                             np.array_split(annuity, n_batches)):
-        if float(np.mean(ann_b)) <= 0.0:
-            raise NumericalError("a path batch defaulted entirely before the "
-                                 "first payment date; batch standard error "
-                                 "is undefined")
-        batch_spreads.append(1e4 * float(np.mean(prot_b)) / float(np.mean(ann_b)))
-    std_error = (float(np.std(batch_spreads, ddof=1)) / math.sqrt(n_batches)
-                 if n_batches > 1 else 0.0)
+    std_error = (float(np.std(1e4 * protection - estimate * annuity, ddof=1))
+                 / (math.sqrt(n) * float(np.mean(annuity))) if n > 1 else 0.0)
     return McResult(estimate, std_error, int(np.count_nonzero(defaulted)), n)
 
 
@@ -247,5 +238,7 @@ def test_spread_estimate_matches_the_per_date_loop(maturity, freq, r, recovery, 
                rng.uniform(0.0, horizon, size=n_paths),
                np.full(n_paths, np.nan)]
     default_time = np.choose(rng.integers(4, size=n_paths), choices)
-    assert (outcome(lambda t: spread_estimate(t, params, contract), default_time)
-            == outcome(lambda t: spread_estimate_reference(t, params, contract), default_time))
+    got = outcome(lambda t: spread_estimate(t, params, contract), default_time)
+    assert got == outcome(lambda t: spread_estimate_reference(t, params, contract), default_time)
+    # the mean annuity is 0 only when every path defaults by the first date
+    assert isinstance(got, tuple) == bool(np.all(default_time <= dates[0]))
