@@ -5,8 +5,7 @@ from .cds import (CdsContract, SpreadCell, cds_spread, default_curve,
                   premium_annuity, protection_leg, spread_table)
 from .core import (ModelParams, default_probability, fpt_density, phi_closed,
                    phi_quadrature)
-from .errors import (NonConvergenceError, NumericalError, ParameterError,
-                     QuadratureError)
+from .errors import NumericalError, ParameterError, QuadratureError
 from .mc import (McConfig, McResult, default_probability_estimate,
                  mc_cds_spread, mc_default_probability, simulate_fpt,
                  spread_estimate)
@@ -20,5 +19,5 @@ __all__ = [
     "mc_cds_spread", "mc_default_probability", "phi_closed",
     "phi_quadrature", "premium_annuity", "protection_leg", "simulate_fpt",
     "spread_estimate", "spread_table",
-    "NonConvergenceError", "NumericalError", "ParameterError", "QuadratureError",
+    "NumericalError", "ParameterError", "QuadratureError",
 ]

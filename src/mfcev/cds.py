@@ -52,6 +52,13 @@ MAX_PREMIUM_DATES = 20_000
 #: samples per default curve, at about 94 bytes each with the CLI's CSV
 #: line, so a curve at the cap takes about 94 MB
 MAX_CURVE_POINTS = 1_000_000
+#: samples of all the curves of one ``mfcev curve``, points x series.  A Q
+#: value takes about 98 bytes with one series and 30 with many, so a command
+#: at the cap takes at most about 490 MB
+MAX_CURVE_VALUES = 5_000_000
+#: cells per spread table; its grid, cells and CSV lines hold about 370 bytes
+#: per cell, so a table at the cap takes about 370 MB
+MAX_TABLE_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -71,12 +78,12 @@ class CdsContract:
                                  f"maturity must be finite and > 0, got {self.maturity}")
         if not 0.0 <= self.recovery <= 1.0:
             raise ParameterError("recovery", f"recovery must lie in [0, 1], got {self.recovery}")
-        # the comparisons come first, so int() never sees inf or NaN
-        if (not 1 <= self.payments_per_year < math.inf
-                or self.payments_per_year != int(self.payments_per_year)):
+        if (isinstance(self.payments_per_year, bool)
+                or not isinstance(self.payments_per_year, numbers.Integral)
+                or self.payments_per_year < 1):
             raise ParameterError("payments_per_year",
                                  f"payments_per_year must be a positive integer, "
-                                 f"got {self.payments_per_year}")
+                                 f"got {self.payments_per_year!r}")
         # a quotient, so a huge integer payments_per_year is never made a float
         if self.payments_per_year > MAX_PREMIUM_DATES / self.maturity:
             raise ParameterError("payments_per_year",
@@ -266,11 +273,16 @@ def spread_table(params_base: ModelParams,
     """Cartesian spread grid in fixed (beta, hurst, maturity, alpha) order.
 
     params_base supplies r, sigma0 and s0; hurst may be None only where
-    beta = 0.  Every cell's ModelParams and CdsContract is built before any
-    pricing, so a bad input raises ParameterError naming it.  A cell whose
-    pricing fails carries the NumericalError's message, with spread NaN.
-    The grid is priced BATCH_CELLS cells per kernel pass.
+    beta = 0.  The grid may hold at most MAX_TABLE_CELLS cells.  Every cell's
+    ModelParams and CdsContract is built before any pricing, so a bad input
+    raises ParameterError naming it.  A cell whose pricing fails carries the
+    NumericalError's message, with spread NaN.  The grid is priced
+    BATCH_CELLS cells per kernel pass.
     """
+    n_cells = len(alphas) * len(betas_hursts) * len(maturities)
+    if n_cells > MAX_TABLE_CELLS:
+        raise ParameterError("maturities", f"{n_cells} table cells exceed the cap of "
+                                           f"{MAX_TABLE_CELLS}")
     contracts = [CdsContract(maturity=maturity, recovery=recovery,
                              payments_per_year=payments_per_year) for maturity in maturities]
     grid = [(ModelParams(r=params_base.r, sigma0=params_base.sigma0, alpha=alpha, beta=beta,

@@ -21,7 +21,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .cds import CdsContract, cds_spread, default_curve, spread_table
+from .cds import (MAX_CURVE_POINTS, MAX_CURVE_VALUES, CdsContract, cds_spread,
+                   default_curve, spread_table)
 from .core import ModelParams, default_probability
 from .errors import NumericalError, ParameterError
 from . import mc
@@ -213,9 +214,15 @@ def cmd_curve(merged: dict) -> int:
         raise ParameterError("beta", "missing required parameter --beta")
     else:
         series = [(merged["beta"], merged["hurst"])]
+    # default_curve rejects a curve of over MAX_CURVE_POINTS points itself;
+    # this caps the points of all the curves together
+    points = merged["points"]
+    if points <= MAX_CURVE_POINTS and points * len(series) > MAX_CURVE_VALUES:
+        raise ParameterError("series", f"{len(series)} series x {points} points exceed "
+                                       f"the cap of {MAX_CURVE_VALUES} Q values")
 
     curves = [default_curve(_model_params(merged, beta=beta, hurst=hurst),
-                            merged["tmax"], merged["points"]) for beta, hurst in series]
+                            merged["tmax"], points) for beta, hurst in series]
     labels = [f"q_b{beta:g}" if hurst is None else f"q_b{beta:g}_H{hurst:g}"
               for beta, hurst in series]
     lines = ["t," + ",".join(labels if merged["series"] else ["q"])]

@@ -17,15 +17,6 @@ class NumericalError(ArithmeticError):
     """A numerical routine failed to deliver its accuracy contract."""
 
 
-class NonConvergenceError(NumericalError):
-    """A series/continued-fraction evaluation exhausted its iteration budget."""
-
-    def __init__(self, message: str, value: float, terms_used: int):
-        super().__init__(message)
-        self.value = value
-        self.terms_used = terms_used
-
-
 class QuadratureError(NumericalError):
     """Adaptive quadrature could not meet the requested tolerance."""
 

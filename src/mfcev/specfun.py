@@ -1,11 +1,12 @@
-"""Self-contained special-function kernel.
+"""Scalar special functions that report their own convergence.
 
-Log-gamma, the regularized incomplete gamma pair P(s,x)/Q(s,x), Kummer's
+Log-gamma, the regularized upper incomplete gamma Q(s,x), Kummer's
 confluent hypergeometric 1F1 and the Whittaker M function.  Everything is
 scalar, double precision, real arguments only.  Pricing does not use this
-module (it takes the array ufuncs of ``scipy.special``); it is kept as an
-independent implementation, with which the Whittaker-M reduction of the
-fractional term of phi is checked.
+module (it takes the array ufuncs of ``scipy.special``).  It stays only for
+the benchmark harness's terms replay, which imports
+``reg_gamma_upper_result`` and ``whittaker_m_result``, until that import is
+dropped (ROADMAP item 2).
 
 Algorithms are the classic stable split: lower incomplete gamma by power
 series for x < s+1, upper by modified-Lentz continued fraction otherwise;
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import NonConvergenceError
 
 #: iteration budget for every series / continued fraction in this module
 MAX_TERMS = 500
@@ -118,51 +117,18 @@ def _upper_continued_fraction(s: float, x: float) -> tuple[float, bool, int]:
     return math.exp(_gamma_prefactor_log(s, x)) * h, False, MAX_TERMS
 
 
-def _reg_gamma_pair(s: float, x: float) -> tuple[float, float, bool, int]:
-    """(P, Q, converged, terms); P + Q == 1 by construction."""
+def reg_gamma_upper_result(s: float, x: float) -> SpecFunResult:
+    """Regularized upper incomplete gamma Q(s,x) with convergence metadata."""
     if not s > 0.0:
         raise ValueError(f"regularized gamma requires s > 0, got {s}")
     if x < 0.0:
         raise ValueError(f"regularized gamma requires x >= 0, got {x}")
     if x == 0.0:
-        return 0.0, 1.0, True, 0
+        return SpecFunResult(1.0, True, 0)
     if x < s + 1.0:
         p, ok, n = _lower_series(s, x)
-        return p, 1.0 - p, ok, n
-    q, ok, n = _upper_continued_fraction(s, x)
-    return 1.0 - q, q, ok, n
-
-
-def reg_gamma_lower_result(s: float, x: float) -> SpecFunResult:
-    """Regularized lower incomplete gamma P(s,x) with convergence metadata."""
-    p, _, ok, n = _reg_gamma_pair(s, x)
-    return SpecFunResult(p, ok, n)
-
-
-def reg_gamma_upper_result(s: float, x: float) -> SpecFunResult:
-    """Regularized upper incomplete gamma Q(s,x) with convergence metadata."""
-    _, q, ok, n = _reg_gamma_pair(s, x)
-    return SpecFunResult(q, ok, n)
-
-
-def reg_gamma_lower(s: float, x: float) -> float:
-    """P(s,x) = gamma(s,x)/Gamma(s), in [0, 1]."""
-    res = reg_gamma_lower_result(s, x)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"reg_gamma_lower({s}, {x}) did not converge in {MAX_TERMS} terms",
-            res.value, res.terms_used)
-    return res.value
-
-
-def reg_gamma_upper(s: float, x: float) -> float:
-    """Q(s,x) = Gamma(s,x)/Gamma(s), in [0, 1]."""
-    res = reg_gamma_upper_result(s, x)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"reg_gamma_upper({s}, {x}) did not converge in {MAX_TERMS} terms",
-            res.value, res.terms_used)
-    return res.value
+        return SpecFunResult(1.0 - p, ok, n)
+    return SpecFunResult(*_upper_continued_fraction(s, x))
 
 
 def _kummer_series(a: float, b: float, z: float) -> tuple[float, bool, int]:
@@ -201,9 +167,9 @@ def kummer_1f1_result(a: float, b: float, z: float) -> SpecFunResult:
     exponential asymptotic expansion takes over (requires a > 0 there).
     """
     if not b > 0.0:
-        raise ValueError(f"kummer_1f1 requires b > 0, got {b}")
+        raise ValueError(f"1F1 requires b > 0, got {b}")
     if z < 0.0:
-        raise ValueError(f"kummer_1f1 requires z >= 0, got {z}")
+        raise ValueError(f"1F1 requires z >= 0, got {z}")
     if z == 0.0:
         return SpecFunResult(1.0, True, 0)
     if z > ASYMPTOTIC_Z and a > 0.0:
@@ -211,16 +177,6 @@ def kummer_1f1_result(a: float, b: float, z: float) -> SpecFunResult:
     else:
         value, ok, n = _kummer_series(a, b, z)
     return SpecFunResult(value, ok, n)
-
-
-def kummer_1f1(a: float, b: float, z: float) -> float:
-    """1F1(a; b; z) for b > 0, z >= 0."""
-    res = kummer_1f1_result(a, b, z)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"kummer_1f1({a}, {b}, {z}) did not converge in {MAX_TERMS} terms",
-            res.value, res.terms_used)
-    return res.value
 
 
 def whittaker_m_result(kappa: float, mu: float, z: float) -> SpecFunResult:
@@ -233,10 +189,10 @@ def whittaker_m_result(kappa: float, mu: float, z: float) -> SpecFunResult:
     valid for z > 0 when 1+2mu is not a nonpositive integer.
     """
     if not z > 0.0:
-        raise ValueError(f"whittaker_m requires z > 0, got {z}")
+        raise ValueError(f"Whittaker M requires z > 0, got {z}")
     b = 1.0 + 2.0 * mu
     if b <= 0.0 and abs(b - round(b)) < 1e-12:
-        raise ValueError(f"whittaker_m undefined: 1+2*mu = {b} is a nonpositive integer")
+        raise ValueError(f"Whittaker M undefined: 1+2*mu = {b} is a nonpositive integer")
     a = mu - kappa + 0.5
     f = kummer_1f1_result(a, b, z)
     log_pref = -0.5 * z + (mu + 0.5) * math.log(z)
@@ -245,13 +201,3 @@ def whittaker_m_result(kappa: float, mu: float, z: float) -> SpecFunResult:
     else:
         value = math.exp(log_pref) * f.value
     return SpecFunResult(value, f.converged, f.terms_used)
-
-
-def whittaker_m(kappa: float, mu: float, z: float) -> float:
-    """Whittaker M_{kappa,mu}(z) for z > 0."""
-    res = whittaker_m_result(kappa, mu, z)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"whittaker_m({kappa}, {mu}, {z}) did not converge in {MAX_TERMS} terms",
-            res.value, res.terms_used)
-    return res.value

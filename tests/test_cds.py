@@ -30,6 +30,9 @@ class TestCdsContract:
         ("maturity", dict(maturity=math.nan)),
         ("payments_per_year", dict(payments_per_year=math.inf)),
         ("payments_per_year", dict(payments_per_year=math.nan)),
+        ("payments_per_year", dict(payments_per_year=True)),
+        ("payments_per_year", dict(payments_per_year=2.0)),
+        ("payments_per_year", dict(payments_per_year=np.float64(2.0))),
     ])
     def test_constraints(self, field, kwargs):
         base = dict(maturity=5.0, recovery=0.5)
@@ -232,6 +235,15 @@ class TestSpreadTable:
         with pytest.raises(ParameterError) as err:
             spread_table(fig_params(), **{**grid, **terms})
         assert err.value.constraint == field
+        assert priced == []
+
+    def test_cell_cap_raises_before_pricing(self, fig_params, monkeypatch):
+        priced = []
+        monkeypatch.setattr(cds, "_price_batch", lambda *args: priced.append(args))
+        monkeypatch.setattr(cds, "MAX_TABLE_CELLS", 39)
+        with pytest.raises(ParameterError) as err:
+            spread_table(fig_params(), [0.0, -2.0], self.BETAS_HURSTS, [1.0, 2.0, 5.0, 10.0])
+        assert err.value.constraint == "maturities"
         assert priced == []
 
     def test_alternating_classical_and_fractional_rows(self):

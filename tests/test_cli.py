@@ -479,25 +479,47 @@ def required_run(command, leave_out=None):
 MODEL_RUN = ["--alpha=-2", "--beta=0.5", "--hurst=0.8", "--sigma0=0.2", "--rate=0.05"]
 
 
-@pytest.mark.parametrize("argv,constraint", [
-    (["spread", *MODEL_RUN, "--recovery=0.5", "--maturity=10", "--freq=1000000000000"],
+CURVE_RUN = ["curve", "--alpha=0", "--sigma0=0.2", "--rate=0.05", "--tmax=1"]
+
+
+# scenario, when given, is the text of a scenario file for the command: one
+# argv argument holds at most 128 KB, too little for the table-cells input
+@pytest.mark.parametrize("argv,scenario,constraint", [
+    (["spread", *MODEL_RUN, "--recovery=0.5", "--maturity=10", "--freq=1000000000000"], None,
      "payments_per_year"),
-    (["curve", *MODEL_RUN, "--tmax=1", "--points=1000000000000"], "n_points"),
+    (["curve", *MODEL_RUN, "--tmax=1", "--points=1000000000000"], None, "n_points"),
     (["validate", *MODEL_RUN, "--maturity=2", "--paths=1000000000", "--steps=2", "--seed=1"],
-     "n_paths"),
+     None, "n_paths"),
     (["validate", *MODEL_RUN, "--maturity=2", "--paths=1", "--steps=2000000000", "--seed=1"],
-     "n_steps"),
-    *(([*required_run(command), "--precision=2000000000"], "precision")
+     None, "n_steps"),
+    *(([*required_run(command), "--precision=2000000000"], None, "precision")
       for command in REQUIRED_FLAGS),
+    (["table1"], "maturities = " + ",".join(["1"] * 10 ** 6), "maturities"),
+    ([*CURVE_RUN, "--points=1000000"], "series = " + ",".join(["0.5:0.8"] * 60), "series"),
 ], ids=["premium-dates", "curve-points", "paths", "steps",
-        *(f"precision-{command}" for command in REQUIRED_FLAGS)])
-def test_oversized_inputs_exit_2(argv, constraint):
+        *(f"precision-{command}" for command in REQUIRED_FLAGS),
+        "table-cells", "curve-values"])
+def test_oversized_inputs_exit_2(tmp_path, argv, scenario, constraint):
     # each asked numpy or a list for gigabytes to terabytes before its cap;
     # a precision of 2e9 asked the formatter for a 2 GB string
+    if scenario is not None:
+        (tmp_path / "big.scn").write_text(scenario + "\n")
+        argv = [*argv, "--scenario", str(tmp_path / "big.scn")]
     proc = run_module(*argv, preexec_fn=cap_address_space)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: invalid parameter '{constraint}': ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_curve_value_cap_counts_every_series(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CURVE_VALUES", 6)
+    code, out, err = run_cli(capsys, *CURVE_RUN, "--points=3", "--series=0", "--series=0.5:0.8")
+    assert code == 0 and len(out.splitlines()) == 4 and err == ""
+    code, out, err = run_cli(capsys, *CURVE_RUN, "--points=3", "--series=0", "--series=0.5:0.8",
+                             "--series=1:0.8")
+    assert code == 2 and out == ""
+    assert err == ("error: invalid parameter 'series': 3 series x 3 points exceed "
+                   "the cap of 6 Q values\n")
 
 
 @pytest.mark.parametrize("command", REQUIRED_FLAGS)
