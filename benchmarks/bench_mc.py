@@ -3,8 +3,9 @@
 
 Three rates, each in requested path-steps (n_paths x n_steps) per second:
 
-    draw          the Philox normals alone, drawn in the simulation's layout
-                  (one standard_normal(n_paths) per step)
+    draw          the Philox normals alone: the normals the simulation
+                  draws, one standard_normal(n_paths) call per step, on the
+                  calling thread
     step          the time spent inside ``_mc_fallback.step_paths`` during a
                   simulation, timed by wrapping it where ``simulate_fpt``
                   looks it up

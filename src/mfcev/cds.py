@@ -56,6 +56,9 @@ MAX_CURVE_POINTS = 1_000_000
 #: value takes about 98 bytes with one series and 30 with many, so a command
 #: at the cap takes at most about 490 MB
 MAX_CURVE_VALUES = 5_000_000
+#: curves of one ``mfcev curve``; each costs about 1 KB beyond its points
+#: (its arrays, label and CSV column), so series at the cap take about 100 MB
+MAX_CURVE_SERIES = 100_000
 #: cells per spread table; its grid, cells and CSV lines hold about 370 bytes
 #: per cell, so a table at the cap takes about 370 MB
 MAX_TABLE_CELLS = 1_000_000

@@ -21,8 +21,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .cds import (MAX_CURVE_POINTS, MAX_CURVE_VALUES, CdsContract, cds_spread,
-                   default_curve, spread_table)
+from .cds import (MAX_CURVE_POINTS, MAX_CURVE_SERIES, MAX_CURVE_VALUES, CdsContract,
+                   cds_spread, default_curve, spread_table)
 from .core import ModelParams, default_probability
 from .errors import NumericalError, ParameterError
 from . import mc
@@ -33,6 +33,9 @@ TABLE1_ALPHAS = [0.0, -2.0]
 TABLE1_MATURITIES = [1.0, 2.0, 5.0, 10.0]
 
 _Z_LIMIT = 4.0
+#: characters in a scenario file: above the 2 MB of one listing 10^6 maturities,
+#: and a file at the cap is read and parsed in at most about 100 MB
+MAX_SCENARIO_CHARS = 4_000_000
 #: the status of a flag the command cannot run without
 _REQUIRED = object()
 
@@ -86,10 +89,14 @@ def _parse_scenario(path: str, allowed) -> dict:
     try:
         # utf-8-sig drops the byte-order mark an editor may write first
         with open(path, encoding="utf-8-sig") as handle:
-            lines = handle.readlines()
+            # one character past the cap, so a device or pipe of stat size 0
+            # is caught as well
+            text = handle.read(MAX_SCENARIO_CHARS + 1)
     except UnicodeDecodeError as exc:
         raise ParameterError("scenario", f"{path}: not UTF-8 text: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+    if len(text) > MAX_SCENARIO_CHARS:
+        raise ParameterError("scenario", f"{path}: more than {MAX_SCENARIO_CHARS} characters")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -208,6 +215,9 @@ def _parse_series(tokens: list[str]) -> list[tuple[float, float | None]]:
 
 def cmd_curve(merged: dict) -> int:
     if merged["series"]:
+        if len(merged["series"]) > MAX_CURVE_SERIES:
+            raise ParameterError("series", f"{len(merged['series'])} series exceed the cap "
+                                           f"of {MAX_CURVE_SERIES}")
         series = _parse_series(list(merged["series"]))
     elif merged["beta"] is None:
         # --beta is required only without --series

@@ -24,17 +24,6 @@ normal for every path, live or not, and ``_mc_fallback.step_paths``
 advances every path in its own slot; an absorbed path's state is NaN, which
 no later step reads as a default.
 
-The draws take most of a simulation's time, so ``simulate_fpt`` hands them
-to one worker thread that owns the generator.  It draws the steps in order,
-at most ``DRAW_LOOKAHEAD`` tasks ahead of the step kernel, which runs on the
-calling thread while numpy's draw releases the interpreter lock.  Below
-``DRAW_TASK_NORMALS`` paths a task draws k = ceil(DRAW_TASK_NORMALS /
-n_paths) steps at once, as one (k, n_paths) array, so that each handoff
-carries about that many normals; from there on a task draws one step.  The
-draw layout, and so every default time, is the same as one thread drawing
-before each step.  The worker is joined before ``simulate_fpt`` returns or
-raises, and an error in a draw is raised in the caller.
-
 ``simulate_fpt`` returns the default times.  The estimators read them:
 ``default_probability_estimate`` gives the binomial default probability
 and ``spread_estimate`` the CDS spread, a ratio of means whose standard
@@ -44,6 +33,7 @@ error is the delta method's over every path, so one simulation serves both.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
@@ -126,6 +116,33 @@ class McResult:
     n_paths: int
 
 
+def _draw_stream(seed: int, n_paths: int, n_steps: int):
+    """Yield the normals of n_steps calls to standard_normal(n_paths), bit for bit.
+
+    The draws take most of a simulation's time, so one worker thread owns the
+    Philox generator and draws the steps in order, at most ``DRAW_LOOKAHEAD``
+    tasks ahead of the consumer, which runs on the calling thread while numpy's
+    draw releases the interpreter lock.  Below ``DRAW_TASK_NORMALS`` paths a
+    task draws k = ceil(DRAW_TASK_NORMALS / n_paths) steps as one (k, n_paths)
+    array, so each handoff carries about that many normals.  Exhausting or
+    closing the stream joins the worker; a draw's error is raised in the consumer.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    block = -(-DRAW_TASK_NORMALS // n_paths)
+    shapes = ((min(block, n_steps - first), n_paths) for first in range(0, n_steps, block))
+    drawer = ThreadPoolExecutor(max_workers=1)
+    try:
+        ahead = deque(drawer.submit(rng.standard_normal, shape)
+                      for shape in itertools.islice(shapes, DRAW_LOOKAHEAD))
+        while ahead:
+            draws = ahead.popleft().result()
+            for shape in itertools.islice(shapes, 1):
+                ahead.append(drawer.submit(rng.standard_normal, shape))
+            yield from draws
+    finally:
+        drawer.shutdown(cancel_futures=True)
+
+
 def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
     """Simulate default times of the transformed state on a uniform grid.
 
@@ -155,31 +172,14 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
     x = np.ones(n)
     default_time = np.full(n, np.nan)
     work = np.empty(n)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-
-    # each task draws the next `block` steps, fewer at the end: the bits of
-    # as many consecutive standard_normal(n) calls
-    block = -(-DRAW_TASK_NORMALS // n)
-    shapes = ((min(block, cfg.n_steps - first), n) for first in range(0, cfg.n_steps, block))
-    drawer = ThreadPoolExecutor(max_workers=1)
-    try:
-        ahead = deque(drawer.submit(rng.standard_normal, shape)
-                      for shape in itertools.islice(shapes, DRAW_LOOKAHEAD))
-        n_alive, k = n, 0
-        while ahead and n_alive:
-            draws = ahead.popleft().result()
-            shape = next(shapes, None)
-            if shape is not None:
-                ahead.append(drawer.submit(rng.standard_normal, shape))
-            for z in draws:
-                n_alive = _mc_fallback.step_paths(x, default_time, z, adt, float(b_steps[k]),
-                                                  float(csd_steps[k]), float(tgrid[k + 1]),
-                                                  work, n_alive)
-                k += 1
-                if n_alive == 0:
-                    break
-    finally:
-        drawer.shutdown(cancel_futures=True)
+    n_alive = n
+    with contextlib.closing(_draw_stream(cfg.seed, n, cfg.n_steps)) as draws:
+        for k, z in enumerate(draws):
+            n_alive = _mc_fallback.step_paths(x, default_time, z, adt, float(b_steps[k]),
+                                              float(csd_steps[k]), float(tgrid[k + 1]),
+                                              work, n_alive)
+            if n_alive == 0:
+                break
     return default_time
 
 

@@ -496,12 +496,17 @@ CURVE_RUN = ["curve", "--alpha=0", "--sigma0=0.2", "--rate=0.05", "--tmax=1"]
       for command in REQUIRED_FLAGS),
     (["table1"], "maturities = " + ",".join(["1"] * 10 ** 6), "maturities"),
     ([*CURVE_RUN, "--points=1000000"], "series = " + ",".join(["0.5:0.8"] * 60), "series"),
+    # with its line end, one character over the cap
+    (["table1"], "#" * cli.MAX_SCENARIO_CHARS, "scenario"),
+    (["table1", "--scenario", "/dev/zero"], None, "scenario"),
+    ([*CURVE_RUN, "--points=2"], "series = " + ",".join(["0"] * 10 ** 6), "series"),
 ], ids=["premium-dates", "curve-points", "paths", "steps",
         *(f"precision-{command}" for command in REQUIRED_FLAGS),
-        "table-cells", "curve-values"])
+        "table-cells", "curve-values", "scenario-size", "scenario-device", "curve-series"])
 def test_oversized_inputs_exit_2(tmp_path, argv, scenario, constraint):
-    # each asked numpy or a list for gigabytes to terabytes before its cap;
-    # a precision of 2e9 asked the formatter for a 2 GB string
+    # each asked numpy or a list for gigabytes to terabytes before its cap, or
+    # read /dev/zero without end; a precision of 2e9 asked the formatter for a
+    # 2 GB string
     if scenario is not None:
         (tmp_path / "big.scn").write_text(scenario + "\n")
         argv = [*argv, "--scenario", str(tmp_path / "big.scn")]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfcev import _mc_fallback
+from mfcev import _mc_fallback, mc
 from mfcev.cds import CdsContract, cds_spread
 from mfcev.core import ModelParams, default_probability
 from mfcev.errors import NumericalError, ParameterError
@@ -215,6 +215,24 @@ class TestDrawThread:
         with pytest.raises(MemoryError, match="draw 3"):
             simulate_fpt(fig_params(alpha=-2.0), self.CFG)
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n", [1, 7, 19_999, 20_000])
+def test_draw_stream_matches_sequential_draws(n):
+    # a task draws k steps, so 2k + 1 steps end on a task of one step
+    k = -(-DRAW_TASK_NORMALS // n)
+    rng = np.random.Generator(np.random.Philox(3))
+    before = threading.active_count()
+    for steps, z in enumerate(mc._draw_stream(3, n, 2 * k + 1), start=1):
+        assert z.shape == (n,) and np.array_equal(z, rng.standard_normal(n))
+    assert steps == 2 * k + 1 and threading.active_count() == before
+
+    # closed after its first step, the stream leaves no worker behind
+    stream = mc._draw_stream(3, n, 2 * k + 1)
+    next(stream)
+    assert threading.active_count() == before + 1
+    stream.close()
+    assert threading.active_count() == before
 
 
 class TestStepKernels:
