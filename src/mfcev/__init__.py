@@ -3,8 +3,7 @@ mixed-fractional CEV model, with a Monte-Carlo validation oracle."""
 
 from .cds import (CdsContract, SpreadCell, cds_spread, default_curve,
                   premium_annuity, protection_leg, spread_table)
-from .core import (ModelParams, default_probability, fpt_density, phi_closed,
-                   phi_quadrature)
+from .core import ModelParams, default_probability, fpt_density, phi_closed
 from .errors import NumericalError, ParameterError, QuadratureError
 from .mc import (McConfig, McResult, default_probability_estimate,
                  mc_cds_spread, mc_default_probability, simulate_fpt,
@@ -17,7 +16,7 @@ __all__ = [
     "cds_spread", "default_curve", "default_probability",
     "default_probability_estimate", "fpt_density",
     "mc_cds_spread", "mc_default_probability", "phi_closed",
-    "phi_quadrature", "premium_annuity", "protection_leg", "simulate_fpt",
+    "premium_annuity", "protection_leg", "simulate_fpt",
     "spread_estimate", "spread_table",
     "NumericalError", "ParameterError", "QuadratureError",
 ]

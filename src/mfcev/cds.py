@@ -15,6 +15,7 @@ first doubling on, the change in a cell's integrals is its error estimate.
 ``ModelParams`` and ``CdsContract`` check themselves.  ``spread_table``
 builds every cell's inputs before it prices any, then feeds the kernel
 BATCH_CELLS cells at a time; every other caller prices one cell.
+``default_curve`` reads Q of all its series on one grid in one ``law.q`` pass.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -52,13 +54,10 @@ MAX_PREMIUM_DATES = 20_000
 #: samples per default curve, at about 94 bytes each with the CLI's CSV
 #: line, so a curve at the cap takes about 94 MB
 MAX_CURVE_POINTS = 1_000_000
-#: samples of all the curves of one ``mfcev curve``, points x series.  A Q
-#: value takes about 98 bytes with one series and 30 with many, so a command
-#: at the cap takes at most about 490 MB
+#: samples of all the curves of one ``default_curve`` call, points x series.
+#: Its one ``q`` pass holds about 64 bytes per value for every series at once,
+#: so a ``mfcev curve`` at the cap takes at most about 320 MB
 MAX_CURVE_VALUES = 5_000_000
-#: curves of one ``mfcev curve``; each costs about 1 KB beyond its points
-#: (its arrays, label and CSV column), so series at the cap take about 100 MB
-MAX_CURVE_SERIES = 100_000
 #: cells per spread table; its grid, cells and CSV lines hold about 370 bytes
 #: per cell, so a table at the cap takes about 370 MB
 MAX_TABLE_CELLS = 1_000_000
@@ -303,12 +302,13 @@ def spread_table(params_base: ModelParams,
     return cells
 
 
-def default_curve(params: ModelParams, t_max: float,
+def default_curve(series: Sequence[ModelParams], t_max: float,
                   n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Default probability sampled on a uniform grid of n_points times over [0, t_max].
+    """Default probability of each series on one uniform grid of n_points times over [0, t_max].
 
     Returns the times i * t_max / (n_points - 1), the last exactly t_max, and
-    Q at each, as two float64 arrays.  n_points may not exceed MAX_CURVE_POINTS.
+    Q, one row per series, shape (len(series), n_points), as float64 arrays.
+    n_points may not exceed MAX_CURVE_POINTS, nor n_points x len(series) MAX_CURVE_VALUES.
     """
     if not 0.0 < t_max < math.inf:
         raise ParameterError("t_max", f"t_max must be finite and > 0, got {t_max}")
@@ -317,5 +317,8 @@ def default_curve(params: ModelParams, t_max: float,
     if not 2 <= n_points <= MAX_CURVE_POINTS:
         raise ParameterError("n_points", f"n_points must lie in [2, {MAX_CURVE_POINTS}], "
                                          f"got {n_points}")
+    if n_points * len(series) > MAX_CURVE_VALUES:
+        raise ParameterError("series", f"{len(series)} series x {n_points} points exceed "
+                                       f"the cap of {MAX_CURVE_VALUES} Q values")
     t = np.linspace(0.0, t_max, n_points)
-    return t, FirstPassageLaw.of([params]).q(t)[0]
+    return t, FirstPassageLaw.of(series).q(t)

@@ -21,8 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .cds import (MAX_CURVE_POINTS, MAX_CURVE_SERIES, MAX_CURVE_VALUES, CdsContract,
-                   cds_spread, default_curve, spread_table)
+from .cds import CdsContract, cds_spread, default_curve, spread_table
 from .core import ModelParams, default_probability
 from .errors import NumericalError, ParameterError
 from . import mc
@@ -36,6 +35,9 @@ _Z_LIMIT = 4.0
 #: characters in a scenario file: above the 2 MB of one listing 10^6 maturities,
 #: and a file at the cap is read and parsed in at most about 100 MB
 MAX_SCENARIO_CHARS = 4_000_000
+#: curves of one ``mfcev curve``; each costs about 1 KB beyond its points
+#: (its arrays, label and CSV column), so series at the cap take about 100 MB
+MAX_CURVE_SERIES = 100_000
 #: the status of a flag the command cannot run without
 _REQUIRED = object()
 
@@ -224,20 +226,14 @@ def cmd_curve(merged: dict) -> int:
         raise ParameterError("beta", "missing required parameter --beta")
     else:
         series = [(merged["beta"], merged["hurst"])]
-    # default_curve rejects a curve of over MAX_CURVE_POINTS points itself;
-    # this caps the points of all the curves together
-    points = merged["points"]
-    if points <= MAX_CURVE_POINTS and points * len(series) > MAX_CURVE_VALUES:
-        raise ParameterError("series", f"{len(series)} series x {points} points exceed "
-                                       f"the cap of {MAX_CURVE_VALUES} Q values")
 
-    curves = [default_curve(_model_params(merged, beta=beta, hurst=hurst),
-                            merged["tmax"], points) for beta, hurst in series]
+    t, q = default_curve([_model_params(merged, beta=beta, hurst=hurst) for beta, hurst in series],
+                         merged["tmax"], merged["points"])
     labels = [f"q_b{beta:g}" if hurst is None else f"q_b{beta:g}_H{hurst:g}"
               for beta, hurst in series]
     lines = ["t," + ",".join(labels if merged["series"] else ["q"])]
-    for t, *qs in zip(curves[0][0], *(q for _, q in curves)):
-        lines.append(",".join([f"{t:.10g}", *(_fmt_prob(q, merged["precision"]) for q in qs)]))
+    for t_i, *qs in zip(t, *q):
+        lines.append(",".join([f"{t_i:.10g}", *(_fmt_prob(v, merged["precision"]) for v in qs)]))
     _emit(lines, merged["output"])
     return 0
 

@@ -335,37 +335,48 @@ class TestRefinementLoop:
 
 class TestDefaultCurve:
     def test_grid_and_endpoints(self, fig_params):
-        t, q = default_curve(fig_params(), 10.0, 21)
+        t, (q,) = default_curve([fig_params()], 10.0, 21)
         assert t.shape == q.shape == (21,)
         assert t[0] == 0.0 and q[0] == 0.0
         assert t[-1] == 10.0
         assert (np.diff(t) > 0.0).all()
 
     def test_monotone_nondecreasing(self, fig_params):
-        _, q = default_curve(fig_params(alpha=-2.0, beta=1.0, hurst=0.9), 10.0, 101)
+        _, (q,) = default_curve([fig_params(alpha=-2.0, beta=1.0, hurst=0.9)], 10.0, 101)
         assert (np.diff(q) >= 0.0).all()
         assert ((0.0 <= q) & (q <= 1.0)).all()
 
     def test_fractional_curve_dominates_classical(self, fig_params):
-        _, classical = default_curve(fig_params(alpha=0.0, beta=0.0), 10.0, 41)
-        _, fractional = default_curve(fig_params(alpha=0.0, beta=0.5), 10.0, 41)
+        _, (classical,) = default_curve([fig_params(alpha=0.0, beta=0.0)], 10.0, 41)
+        _, (fractional,) = default_curve([fig_params(alpha=0.0, beta=0.5)], 10.0, 41)
         assert (fractional >= classical).all()
         assert fractional[-1] > classical[-1]
 
     def test_validation(self, fig_params):
         with pytest.raises(ParameterError):
-            default_curve(fig_params(), 0.0, 10)
+            default_curve([fig_params()], 0.0, 10)
         with pytest.raises(ParameterError):
-            default_curve(fig_params(), 5.0, 1)
+            default_curve([fig_params()], 5.0, 1)
         with pytest.raises(ParameterError):
-            default_curve(fig_params(), math.inf, 10)
+            default_curve([fig_params()], math.inf, 10)
         with pytest.raises(ParameterError) as err:
-            default_curve(fig_params(), 5.0, cds.MAX_CURVE_POINTS + 1)
+            default_curve([fig_params()], 5.0, cds.MAX_CURVE_POINTS + 1)
         assert err.value.constraint == "n_points"
         for n_points in (3.0, True):
             with pytest.raises(ParameterError) as err:
-                default_curve(fig_params(), 1.0, n_points)
+                default_curve([fig_params()], 1.0, n_points)
             assert err.value.constraint == "n_points"
+
+    def test_value_cap_raises_before_any_law(self, fig_params, monkeypatch):
+        built = []
+        monkeypatch.setattr(cds.FirstPassageLaw, "of",
+                            classmethod(lambda cls, params: built.append(params)))
+        monkeypatch.setattr(cds, "MAX_CURVE_VALUES", 5)
+        with pytest.raises(ParameterError) as err:
+            default_curve([fig_params(), fig_params(alpha=-2.0)], 1.0, 3)
+        assert err.value.constraint == "series"
+        assert str(err.value) == "2 series x 3 points exceed the cap of 5 Q values"
+        assert built == []
 
 
 class TestFailureContract:

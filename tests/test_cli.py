@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mfcev import cli
+from mfcev import cds, cli
 from mfcev.cds import CdsContract, cds_spread
 from mfcev.cli import _fmt_bps, _fmt_prob, build_parser, main
 from mfcev.core import ModelParams
@@ -517,7 +519,7 @@ def test_oversized_inputs_exit_2(tmp_path, argv, scenario, constraint):
 
 
 def test_curve_value_cap_counts_every_series(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_CURVE_VALUES", 6)
+    monkeypatch.setattr(cds, "MAX_CURVE_VALUES", 6)
     code, out, err = run_cli(capsys, *CURVE_RUN, "--points=3", "--series=0", "--series=0.5:0.8")
     assert code == 0 and len(out.splitlines()) == 4 and err == ""
     code, out, err = run_cli(capsys, *CURVE_RUN, "--points=3", "--series=0", "--series=0.5:0.8",
@@ -525,6 +527,47 @@ def test_curve_value_cap_counts_every_series(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == ("error: invalid parameter 'series': 3 series x 3 points exceed "
                    "the cap of 6 Q values\n")
+
+
+def log_uniform_int(top):
+    """Integers from 1 to top, log-uniform."""
+    return st.floats(min_value=0.0, max_value=math.log10(top)).map(lambda e: round(10.0 ** e))
+
+
+#: the series a size example cycles through: a classical row and two fractional ones
+SIZE_SERIES = ["0", "0.5:0.8", "1:0.9"]
+
+
+def run_curve_sizes(tmp_dir, points, n_series):
+    """``mfcev curve`` with these sizes, under the 2 GB address-space cap, ends
+    in exit 0 or in exit 2 with one error line, and never in a traceback."""
+    scenario, output = tmp_dir / "sizes.scn", tmp_dir / "curve.csv"
+    scenario.write_text("series = " + ",".join(SIZE_SERIES[i % len(SIZE_SERIES)]
+                                               for i in range(n_series)) + "\n")
+    proc = run_module(*CURVE_RUN, f"--points={points}", "--scenario", str(scenario),
+                      "--output", str(output), preexec_fn=cap_address_space)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert proc.stderr.count("error:") <= 1 and "Traceback" not in proc.stderr, proc.stderr
+    output.unlink(missing_ok=True)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(points=log_uniform_int(1000), n_series=log_uniform_int(30))
+def test_small_curve_sizes_end_cleanly(tmp_path_factory, points, n_series):
+    run_curve_sizes(tmp_path_factory.mktemp("sizes"), points, n_series)
+
+
+@pytest.mark.slow
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(points=log_uniform_int(10 * cds.MAX_CURVE_POINTS),
+       n_series=log_uniform_int(10 * cli.MAX_CURVE_SERIES))
+# the corners: each size at 10x its cap, and the most values the caps let through
+@example(points=10 * cds.MAX_CURVE_POINTS, n_series=1)
+@example(points=2, n_series=10 * cli.MAX_CURVE_SERIES)
+@example(points=cds.MAX_CURVE_POINTS, n_series=cds.MAX_CURVE_VALUES // cds.MAX_CURVE_POINTS)
+@example(points=cds.MAX_CURVE_VALUES // cli.MAX_CURVE_SERIES, n_series=cli.MAX_CURVE_SERIES)
+def test_curve_sizes_end_cleanly(tmp_path_factory, points, n_series):
+    run_curve_sizes(tmp_path_factory.mktemp("sizes"), points, n_series)
 
 
 @pytest.mark.parametrize("command", REQUIRED_FLAGS)

@@ -4,7 +4,8 @@ Every accepted input must either price, or fail with a documented error and
 exit code; Q is checked against a scipy oracle in units with s0 = 1, and
 against an mpmath oracle over every magnitude ModelParams accepts.  A
 classical row (beta = 0) gives the same bits with or without a Hurst exponent,
-a default curve is Q on the uniform grid, the Monte-Carlo default times are
+a default curve is Q on the uniform grid and each row of a batch of curves
+is that series' curve alone, the Monte-Carlo default times are
 those of a plain loop over the seed's draws, and the Monte-Carlo spread is
 that of a plain loop over the premium dates.
 """
@@ -17,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfcev import cds
@@ -185,11 +186,46 @@ def test_simulation_follows_the_seed_contract(alpha, beta, hurst, sigma0, r, n_p
        r=st.floats(min_value=0.0, max_value=0.5))
 def test_curve_is_q_on_the_uniform_grid(t_max, n_points, alpha, hurst, beta, sigma0, r):
     params = ModelParams(r=r, sigma0=sigma0, alpha=alpha, beta=beta, hurst=hurst, s0=50.0)
-    t, q = cds.default_curve(params, t_max, n_points)
+    t, (q,) = cds.default_curve([params], t_max, n_points)
     step = t_max / (n_points - 1)
     grid = np.array([t_max if i == n_points - 1 else i * step for i in range(n_points)])
     assert t.tobytes() == grid.tobytes()
     assert q.tobytes() == FirstPassageLaw.of([params]).q(grid)[0].tobytes()
+
+
+#: the parameter sets of test_core.py's TestDoubleRange, where phi or one of
+#: its factors leaves the double range
+DOUBLE_RANGE_ROWS = [
+    *(ModelParams(r=0.05, sigma0=sigma0, alpha=alpha, beta=0.0, hurst=0.8)
+      for alpha, sigma0 in ((0.0, 1e300), (-16.0, 1e300), (-17.0, 1e300), (-1000.0, 1e152))),
+    ModelParams(r=1e308, sigma0=1e300, alpha=0.0, beta=0.0, hurst=0.8),
+    ModelParams(r=0.05, sigma0=0.2, alpha=0.0, beta=1e300, hurst=0.8),
+    ModelParams(r=0.05, sigma0=1e-200, alpha=0.0, beta=1e300, hurst=0.8),
+]
+#: a row of a curve batch: anywhere in the whole domain, a classical row
+#: without a Hurst exponent, or one of DOUBLE_RANGE_ROWS
+CURVE_ROW = st.one_of(
+    st.builds(ModelParams, **{name: WHOLE_DOMAIN[name]
+                              for name in ("r", "sigma0", "alpha", "beta", "hurst")}),
+    st.builds(ModelParams, r=WHOLE_DOMAIN["r"], sigma0=WHOLE_DOMAIN["sigma0"],
+              alpha=WHOLE_DOMAIN["alpha"], beta=st.just(0.0), hurst=st.none()),
+    st.sampled_from(DOUBLE_RANGE_ROWS),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(series=st.lists(CURVE_ROW, min_size=2, max_size=40), t_max=WHOLE_DOMAIN["t"],
+       n_points=st.integers(min_value=2, max_value=5000))
+@example(series=[*DOUBLE_RANGE_ROWS, ModelParams(r=0.0, sigma0=0.2, alpha=0.0, beta=0.0,
+                                                 hurst=None)],
+         t_max=10.0, n_points=41)
+def test_curve_rows_are_the_one_row_curves(series, t_max, n_points):
+    t, q = cds.default_curve(series, t_max, n_points)
+    assert q.shape == (len(series), n_points)
+    for params, row in zip(series, q):
+        t_one, (q_one,) = cds.default_curve([params], t_max, n_points)
+        assert t.tobytes() == t_one.tobytes()
+        assert row.tobytes() == q_one.tobytes()
 
 
 def spread_estimate_reference(default_time, params, contract):
