@@ -3,12 +3,12 @@
 
 Three rates, each in requested path-steps (n_paths x n_steps) per second:
 
-    draw          the Philox normals alone: the normals the simulation
-                  draws, one standard_normal(n_paths) call per step, on the
-                  calling thread
+    draw          the Philox normals alone, as one stream on one core: one
+                  standard_normal(n_paths) call per step from Philox(seed),
+                  on the calling thread
     step          the time spent inside ``_mc_fallback.step_paths`` during a
-                  simulation, timed by wrapping it where ``simulate_fpt``
-                  looks it up
+                  simulation, summed over every block's calls, timed by
+                  wrapping it where ``simulate_fpt`` looks it up
     simulate_fpt  the whole simulation, unwrapped
 
 and one in paths per second:
@@ -18,10 +18,12 @@ and one in paths per second:
                   ``mfcev validate`` prices (T = 2, recovery 0.5, two
                   payments a year)
 
-``simulate_fpt`` draws the normals on a worker thread, ahead of the step
-kernel on the calling thread, so with a second core free its time comes
-close to the draws alone: ``simulate_fpt_over_draw`` is the ratio of the
-two medians, 1 where the step is fully hidden behind the draws.
+``simulate_fpt`` splits the paths into blocks of at most ``mc.BLOCK_PATHS``,
+each drawing from its own Philox stream and stepping its own paths, and runs
+the blocks on up to one thread per usable CPU (``blocks`` and ``workers`` in
+the output).  ``simulate_fpt_over_draw`` is the ratio of the two medians: 1
+or more on one block, where one core draws and steps, and below 1 where
+several cores share the draws.
 
 Each figure is the median of ``--repeat`` rounds; a round times the four
 layers in turn on the same seed.  The step runs over every path's slot, the
@@ -44,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from mfcev import _mc_fallback
+from mfcev import _mc_fallback, mc
 from mfcev.cds import CdsContract
 from mfcev.core import ModelParams
 from mfcev.mc import McConfig, default_probability_estimate, simulate_fpt, spread_estimate
@@ -66,24 +68,24 @@ def time_draws(cfg: McConfig) -> float:
 def time_steps(cfg: McConfig) -> tuple[float, int]:
     """Seconds inside the step kernel during one simulation, and live path-steps."""
     original = _mc_fallback.step_paths
-    spent = 0.0
-    stepped = 0
+    # the blocks step on several threads, so each call appends its own record
+    # (list.append is atomic) rather than adding to a shared total
+    calls = []
 
     def timed(*args):
-        nonlocal spent, stepped
         start = time.perf_counter()
         try:
             return original(*args)
         finally:
-            spent += time.perf_counter() - start
-            stepped += args[-1]     # n_alive: the paths alive before the step
+            # n_alive, the last argument: the paths alive before the step
+            calls.append((time.perf_counter() - start, args[-1]))
 
     _mc_fallback.step_paths = timed
     try:
         simulate_fpt(PARAMS, cfg)
     finally:
         _mc_fallback.step_paths = original
-    return spent, stepped
+    return sum(spent for spent, _ in calls), sum(alive for _, alive in calls)
 
 
 def time_simulation(cfg: McConfig) -> tuple[float, np.ndarray]:
@@ -112,6 +114,7 @@ def measure(cfg: McConfig, repeat: int) -> dict:
         end_to_end.append(spent)
         estimators.append(time_estimators(default_time))
     work = cfg.n_paths * cfg.n_steps
+    blocks = -(-cfg.n_paths // mc.BLOCK_PATHS)
 
     def layer(times, per="path_steps", count=work):
         median = statistics.median(times)
@@ -121,6 +124,7 @@ def measure(cfg: McConfig, repeat: int) -> dict:
     return {
         "paths": cfg.n_paths, "steps": cfg.n_steps, "seed": cfg.seed,
         "repeat": repeat, "requested_path_steps": work,
+        "blocks": blocks, "workers": min(blocks, mc._usable_cpus()),
         "draw": layer(draw),
         "step": {**layer(step), "live_path_steps": stepped},
         "simulate_fpt": layer(end_to_end),
@@ -147,6 +151,7 @@ def main() -> int:
         print(json.dumps(result))
         return 0
     print(f"paths={cfg.n_paths}  steps={cfg.n_steps}  "
+          f"blocks={result['blocks']}  workers={result['workers']}  "
           f"({result['requested_path_steps'] / 1e6:g}M path-steps, median of {args.repeat})")
     for name in ("draw", "step", "simulate_fpt"):
         r = result[name]

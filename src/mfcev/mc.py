@@ -16,13 +16,17 @@ does: x0 = 1 and delta^2 = sigma0^2.  The state in model units is
 s0^(2-alpha) times this one, so the default times are the same, and no
 power of s0 is formed however negative alpha is.
 
-Paths are driven by a counter-based generator (Philox) seeded from the
-master seed with a fixed step-major draw layout, so results depend only on
-(seed, n_paths, n_steps) and runs with different model parameters but the
-same seed share their noise (coupled comparisons).  Each step draws one
-normal for every path, live or not, and ``_mc_fallback.step_paths``
-advances every path in its own slot; an absorbed path's state is NaN, which
-no later step reads as a default.
+The B = ceil(n_paths / BLOCK_PATHS) blocks of paths are of equal size:
+block b holds the paths [n b // B, n (b+1) // B) and is driven by the
+counter-based generator Philox(seed).jumped(b), one standard_normal(block
+size) per step.  So results depend only on (seed, n_paths, n_steps), and
+runs with different model parameters but the same seed share their noise
+(coupled comparisons).  Block 0 is Philox(seed) itself.  Each step draws
+one normal for every path of a block, live or not, and
+``_mc_fallback.step_paths`` advances every path in its own slot; an
+absorbed path's state is NaN, which no later step reads as a default.  A
+block stops once all its paths have defaulted.  Blocks run side by side on
+up to one thread per usable CPU, and the thread count never changes a bit.
 
 ``simulate_fpt`` returns the default times.  The estimators read them:
 ``default_probability_estimate`` gives the binomial default probability
@@ -33,11 +37,9 @@ error is the delta method's over every path, so one simulation serves both.
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import math
 import numbers
-from collections import deque
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -49,19 +51,17 @@ from .errors import NumericalError, ParameterError
 
 #: hard cap on n_paths * n_steps per simulation
 MAX_PATH_STEPS = 2_000_000_000
-#: paths per simulation; ``mfcev validate`` holds about 50 bytes per path
-#: (states, default times, scratch, the draws in flight and the estimators'
-#: arrays), so a simulation at the cap takes about 500 MB
+#: paths per simulation; ``mfcev validate`` peaks at about 41 bytes per path
+#: in the estimators' arrays, above the simulation's 16 (states and default
+#: times, plus 0.8 MB of draws and scratch per block), so a run at the cap
+#: takes about 410 MB
 MAX_PATHS = 10_000_000
 #: steps per simulation, at about 40 bytes each (the grid, the variance clock
 #: and the step coefficients), so a grid at the cap takes about 400 MB
 MAX_STEPS = 10_000_000
 
-#: draw tasks whose normals the draw thread may hold ready ahead of the step kernel
-DRAW_LOOKAHEAD = 2
-#: normals per draw task at least: a task draws ceil(DRAW_TASK_NORMALS / n_paths)
-#: steps, which is one step from this many paths on
-DRAW_TASK_NORMALS = 20_000
+#: paths per block at most: each block draws from its own Philox stream
+BLOCK_PATHS = 50_000
 
 
 def have_compiled_kernel() -> bool:
@@ -74,9 +74,11 @@ def have_compiled_kernel() -> bool:
 class McConfig:
     """Simulation controls: path count, uniform grid size on [0, horizon], master seed.
 
-    n_paths, n_steps and seed are integers (int or numpy integer, not bool);
-    n_paths and n_steps are capped at MAX_PATHS and MAX_STEPS, and their
-    product at MAX_PATH_STEPS.
+    The seed is per block: block b of the ceil(n_paths / BLOCK_PATHS) path
+    blocks draws from Philox(seed).jumped(b), so up to BLOCK_PATHS paths
+    the seed's own stream drives every path.  n_paths, n_steps and seed are
+    integers (int or numpy integer, not bool); n_paths and n_steps are
+    capped at MAX_PATHS and MAX_STEPS, and their product at MAX_PATH_STEPS.
     """
 
     n_paths: int
@@ -106,6 +108,13 @@ class McConfig:
             raise ParameterError("seed", f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class McResult:
     """Point estimate with its standard error and default-count bookkeeping."""
@@ -114,33 +123,6 @@ class McResult:
     std_error: float
     n_defaulted: int
     n_paths: int
-
-
-def _draw_stream(seed: int, n_paths: int, n_steps: int):
-    """Yield the normals of n_steps calls to standard_normal(n_paths), bit for bit.
-
-    The draws take most of a simulation's time, so one worker thread owns the
-    Philox generator and draws the steps in order, at most ``DRAW_LOOKAHEAD``
-    tasks ahead of the consumer, which runs on the calling thread while numpy's
-    draw releases the interpreter lock.  Below ``DRAW_TASK_NORMALS`` paths a
-    task draws k = ceil(DRAW_TASK_NORMALS / n_paths) steps as one (k, n_paths)
-    array, so each handoff carries about that many normals.  Exhausting or
-    closing the stream joins the worker; a draw's error is raised in the consumer.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    block = -(-DRAW_TASK_NORMALS // n_paths)
-    shapes = ((min(block, n_steps - first), n_paths) for first in range(0, n_steps, block))
-    drawer = ThreadPoolExecutor(max_workers=1)
-    try:
-        ahead = deque(drawer.submit(rng.standard_normal, shape)
-                      for shape in itertools.islice(shapes, DRAW_LOOKAHEAD))
-        while ahead:
-            draws = ahead.popleft().result()
-            for shape in itertools.islice(shapes, 1):
-                ahead.append(drawer.submit(rng.standard_normal, shape))
-            yield from draws
-    finally:
-        drawer.shutdown(cancel_futures=True)
 
 
 def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
@@ -171,15 +153,30 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
 
     x = np.ones(n)
     default_time = np.full(n, np.nan)
-    work = np.empty(n)
-    n_alive = n
-    with contextlib.closing(_draw_stream(cfg.seed, n, cfg.n_steps)) as draws:
-        for k, z in enumerate(draws):
-            n_alive = _mc_fallback.step_paths(x, default_time, z, adt, float(b_steps[k]),
+    n_blocks = -(-n // BLOCK_PATHS)
+
+    def run_block(b: int) -> None:
+        lo, hi = n * b // n_blocks, n * (b + 1) // n_blocks
+        rng = np.random.Generator(np.random.Philox(cfg.seed).jumped(b))
+        xb, tb = x[lo:hi], default_time[lo:hi]
+        z, work = np.empty(hi - lo), np.empty(hi - lo)
+        n_alive = hi - lo
+        for k in range(cfg.n_steps):
+            rng.standard_normal(out=z)
+            n_alive = _mc_fallback.step_paths(xb, tb, z, adt, float(b_steps[k]),
                                               float(csd_steps[k]), float(tgrid[k + 1]),
                                               work, n_alive)
             if n_alive == 0:
                 break
+
+    if n_blocks == 1:
+        run_block(0)
+        return default_time
+    pool = ThreadPoolExecutor(max_workers=min(n_blocks, _usable_cpus()))
+    try:
+        list(pool.map(run_block, range(n_blocks)))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return default_time
 
 
@@ -209,17 +206,16 @@ def spread_estimate(default_time: np.ndarray, params: ModelParams, contract) -> 
     maturity = contract.maturity
     r = params.r
 
-    tau = np.where(np.isnan(default_time), np.inf, default_time)
-    defaulted = tau <= maturity + 1e-12
-    protection = np.where(defaulted,
-                          (1.0 - contract.recovery) * np.exp(-r * np.where(defaulted, tau, 0.0)),
-                          0.0)
+    # NaN, a survivor, compares false here and sorts past every date below
+    defaulted = default_time <= maturity + 1e-12
+    protection = np.zeros(n)
+    protection[defaulted] = (1.0 - contract.recovery) * np.exp(-r * default_time[defaulted])
     # paid[k] sums the discounted accruals of the first k dates in date order,
     # and a path's annuity is paid[number of dates before its default]
     times = contract.payment_times()
     accrual = 1.0 / contract.payments_per_year
     paid = np.cumsum([0.0] + [accrual * math.exp(-r * t_i) for t_i in times])
-    annuity = paid[np.searchsorted(np.asarray(times), tau)]
+    annuity = paid[np.searchsorted(np.asarray(times), default_time)]
 
     mean_annuity = float(np.mean(annuity))
     if mean_annuity <= 0.0:

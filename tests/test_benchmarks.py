@@ -36,6 +36,7 @@ def test_bench_analytic():
 def test_bench_mc():
     result = run_benchmark("bench_mc.py", "--paths", "2000", "--steps", "10", "--repeat", "1")
     assert result["requested_path_steps"] == 20000
+    assert result["blocks"] == result["workers"] == 1
     assert 0 < result["step"]["live_path_steps"] <= 20000
     for layer in ("draw", "step", "simulate_fpt"):
         assert result[layer]["path_steps_per_s"] > 0.0

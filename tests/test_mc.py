@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from mfcev import _mc_fallback, mc
 from mfcev.cds import CdsContract, cds_spread
 from mfcev.core import ModelParams, default_probability
 from mfcev.errors import NumericalError, ParameterError
-from mfcev.mc import (DRAW_TASK_NORMALS, MAX_PATH_STEPS, MAX_PATHS, MAX_STEPS, McConfig,
+from mfcev.mc import (BLOCK_PATHS, MAX_PATH_STEPS, MAX_PATHS, MAX_STEPS, McConfig,
                       mc_cds_spread, mc_default_probability, simulate_fpt)
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -121,9 +122,13 @@ class TestSimulateFpt:
 
 
 class TestDrawThread:
-    """The normals are drawn on a worker thread; none outlives the call."""
+    """Block b of the paths draws from Philox(seed).jumped(b).  One block runs
+    on the calling thread; more run on worker threads, none of which outlives
+    the call, and the number of workers never changes a bit."""
 
     CFG = McConfig(n_paths=2000, n_steps=50, horizon=1.0, seed=21)
+    #: three blocks, more than this machine may have workers for
+    BLOCKS_CFG = McConfig(n_paths=2 * BLOCK_PATHS + 1, n_steps=20, horizon=1.0, seed=21)
 
     def test_no_thread_left_after_return(self, fig_params):
         before = threading.active_count()
@@ -136,13 +141,18 @@ class TestDrawThread:
 
     @staticmethod
     def simulate_and_replay(monkeypatch, params, cfg):
-        """The threaded default times, the steps it took, and the default
-        times of one thread drawing standard_normal(n) before each of them."""
+        """The simulated default times, the steps each block took, and the
+        default times of a loop that, block by block, draws
+        standard_normal(block size) from Philox(seed).jumped(b) before each
+        of that block's steps."""
         step = _mc_fallback.step_paths
-        coefficients = []
+        blocks = {}     # address of a block's states -> its step coefficients
+        threads = set()
 
         def spy(x, default_time, z, adt, b, csd, t_next, work, n_alive):
-            coefficients.append((adt, b, csd, t_next))
+            threads.add(threading.get_ident())
+            blocks.setdefault(x.__array_interface__["data"][0], []).append(
+                (adt, b, csd, t_next))
             return step(x, default_time, z, adt, b, csd, t_next, work, n_alive)
 
         before = threading.active_count()
@@ -152,87 +162,119 @@ class TestDrawThread:
         assert threading.active_count() == before
 
         n = cfg.n_paths
-        rng = np.random.Generator(np.random.Philox(cfg.seed))
-        x, expected, work = np.ones(n), np.full(n, np.nan), np.empty(n)
-        n_alive = n
-        for adt, b, csd, t_next in coefficients:
-            n_alive = step(x, expected, rng.standard_normal(n), adt, b, csd, t_next, work,
-                           n_alive)
-        # the loop stops early only once every path has defaulted
-        assert len(coefficients) == cfg.n_steps or n_alive == 0
-        return times, len(coefficients), expected
+        n_blocks = -(-n // BLOCK_PATHS)
+        assert len(blocks) == n_blocks
+        if n_blocks == 1:
+            assert threads == {threading.get_ident()}
+        expected = np.full(n, np.nan)
+        steps = []
+        # the blocks' states are slices of one array, so address order is block order
+        for b, (_, coefficients) in enumerate(sorted(blocks.items())):
+            lo, hi = n * b // n_blocks, n * (b + 1) // n_blocks
+            # block 0 draws from the seed's own stream
+            bit_generator = np.random.Philox(cfg.seed)
+            rng = np.random.Generator(bit_generator.jumped(b) if b else bit_generator)
+            x, work = np.ones(hi - lo), np.empty(hi - lo)
+            n_alive = hi - lo
+            for adt, b_step, csd, t_next in coefficients:
+                n_alive = step(x, expected[lo:hi], rng.standard_normal(hi - lo), adt, b_step,
+                               csd, t_next, work, n_alive)
+            # a block stops early only once every one of its paths has defaulted
+            assert len(coefficients) == cfg.n_steps or n_alive == 0
+            steps.append(len(coefficients))
+        return times, steps, expected
 
     def test_early_exit_matches_sequential_draws(self, monkeypatch):
         # every path dies well before the horizon, so the loop stops early;
         # its default times equal a loop drawing standard_normal(n) per step
         times, steps, expected = self.simulate_and_replay(monkeypatch, self.DOOMED, self.CFG)
-        assert 0 < steps < self.CFG.n_steps
+        assert 0 < steps[0] < self.CFG.n_steps
         assert np.array_equal(times, expected)
 
-    @pytest.mark.parametrize("n", [1, 7, 2000, 19_999, 20_000])
+    @pytest.mark.parametrize("n", [1, 7, 2000, 19_999, 20_000, BLOCK_PATHS])
     @pytest.mark.parametrize("doomed", [False, True], ids=["some-default", "all-default"])
     def test_draw_tasks_match_one_thread_loop(self, monkeypatch, n, doomed):
-        # a task draws k steps, so 2k + 1 steps end on a task of one step;
-        # doomed paths all default at once, and the loop stops mid-task
-        k = -(-DRAW_TASK_NORMALS // n)
-        cfg = McConfig(n_paths=n, n_steps=2 * k + 1, horizon=1.0, seed=5)
+        # up to BLOCK_PATHS paths, one block draws standard_normal(n) from
+        # Philox(seed) per step; doomed paths all default at once, and the
+        # loop stops early
+        cfg = McConfig(n_paths=n, n_steps=25, horizon=1.0, seed=5)
         params = self.DOOMED if doomed else ModelParams(r=0.05, sigma0=0.8, alpha=-2.0,
                                                         beta=0.5, hurst=0.8, s0=50.0)
         times, steps, expected = self.simulate_and_replay(monkeypatch, params, cfg)
         if doomed:
-            assert steps < cfg.n_steps and not np.isnan(times).any()
+            assert steps[0] < cfg.n_steps and not np.isnan(times).any()
         assert np.array_equal(times, expected, equal_nan=True)
+
+    def test_blocks_match_jumped_streams(self, monkeypatch):
+        # two blocks of 25,000 and 25,001 paths; here the second block loses
+        # its last path on step 16 and stops, while the first steps to the end
+        cfg = McConfig(n_paths=BLOCK_PATHS + 1, n_steps=20, horizon=1.0, seed=4)
+        params = ModelParams(r=0.0, sigma0=10.5, alpha=1.9, beta=0.0, hurst=None, s0=1.0)
+        times, steps, expected = self.simulate_and_replay(monkeypatch, params, cfg)
+        assert steps == [cfg.n_steps, 16]
+        assert np.array_equal(times, expected, equal_nan=True)
+
+    def test_three_blocks_match_jumped_streams(self, monkeypatch, fig_params):
+        times, steps, expected = self.simulate_and_replay(
+            monkeypatch, fig_params(alpha=-2.0, sigma0=0.8), self.BLOCKS_CFG)
+        assert steps == [self.BLOCKS_CFG.n_steps] * 3
+        assert np.array_equal(times, expected, equal_nan=True)
+
+    def test_worker_count_keeps_bits(self, monkeypatch, fig_params):
+        # one worker per block at 3, more than this machine's cores, with the
+        # interpreter switching threads as often as it can
+        params = fig_params(alpha=-2.0, sigma0=0.8)
+        runs = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+                runs.append(simulate_fpt(params, self.BLOCKS_CFG))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(run, runs[0], equal_nan=True) for run in runs[1:])
+        assert 0 < np.count_nonzero(np.isnan(runs[0])) < self.BLOCKS_CFG.n_paths
 
     def test_step_error_reaches_caller(self, monkeypatch, fig_params):
         step = _mc_fallback.step_paths
         calls = 0
+        raised_on = []
 
         def failing(*args):
             nonlocal calls
             calls += 1
             if calls == 3:
+                raised_on.append(threading.get_ident())
                 raise FloatingPointError("step 3")
             return step(*args)
 
         before = threading.active_count()
         monkeypatch.setattr(_mc_fallback, "step_paths", failing)
         with pytest.raises(FloatingPointError, match="step 3"):
-            simulate_fpt(fig_params(alpha=-2.0), self.CFG)
+            simulate_fpt(fig_params(alpha=-2.0), self.BLOCKS_CFG)
         assert threading.active_count() == before
+        assert raised_on[0] != threading.get_ident()
 
     def test_draw_error_reaches_caller(self, monkeypatch, fig_params):
+        raised_on = []
+
         class FailingGenerator(np.random.Generator):
             draws = 0
 
-            def standard_normal(self, *args):
+            def standard_normal(self, *args, **kwargs):
                 FailingGenerator.draws += 1
                 if FailingGenerator.draws == 3:
+                    raised_on.append(threading.get_ident())
                     raise MemoryError("draw 3")
-                return super().standard_normal(*args)
+                return super().standard_normal(*args, **kwargs)
 
         before = threading.active_count()
         monkeypatch.setattr(np.random, "Generator", FailingGenerator)
         with pytest.raises(MemoryError, match="draw 3"):
-            simulate_fpt(fig_params(alpha=-2.0), self.CFG)
+            simulate_fpt(fig_params(alpha=-2.0), self.BLOCKS_CFG)
         assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("n", [1, 7, 19_999, 20_000])
-def test_draw_stream_matches_sequential_draws(n):
-    # a task draws k steps, so 2k + 1 steps end on a task of one step
-    k = -(-DRAW_TASK_NORMALS // n)
-    rng = np.random.Generator(np.random.Philox(3))
-    before = threading.active_count()
-    for steps, z in enumerate(mc._draw_stream(3, n, 2 * k + 1), start=1):
-        assert z.shape == (n,) and np.array_equal(z, rng.standard_normal(n))
-    assert steps == 2 * k + 1 and threading.active_count() == before
-
-    # closed after its first step, the stream leaves no worker behind
-    stream = mc._draw_stream(3, n, 2 * k + 1)
-    next(stream)
-    assert threading.active_count() == before + 1
-    stream.close()
-    assert threading.active_count() == before
+        assert raised_on[0] != threading.get_ident()
 
 
 class TestStepKernels:
