@@ -7,9 +7,9 @@ the cells it hands the kernel, recorded by wrapping
 ``FirstPassageLaw.q_and_g`` and ``cds._price_batch``.  The layers, in ms:
 
     gammaincc_low     scipy ``gammaincc(s, u)`` on the batch's nodes with
-                      u = 1/phi < 1.1
-    gammaincc_high    the same on the nodes with u >= 1.1
-    complement_low    ``1 - gammainc(s, u)`` on the u < 1.1 nodes
+                      u = 1/phi < ``core.Q_SPLIT_U``
+    gammaincc_high    the same on the nodes with u >= ``core.Q_SPLIT_U``
+    complement_low    ``1 - gammainc(s, u)`` on the nodes below it
     phi               ``FirstPassageLaw.phi`` over the batch
     q                 ``FirstPassageLaw.q`` over the batch
     q_and_g           ``FirstPassageLaw.q_and_g`` over the batch
@@ -45,15 +45,13 @@ from scipy.special import gammainc, gammaincc
 from mfcev import cds, cli
 from mfcev.cds import CdsContract, cds_spread, spread_table
 from mfcev.cli import TABLE1_ALPHAS, TABLE1_BETA_HURST, TABLE1_MATURITIES
-from mfcev.core import FirstPassageLaw, ModelParams
+from mfcev.core import Q_SPLIT_U, FirstPassageLaw, ModelParams
 
 #: the table1 defaults of the CLI
 BASE = ModelParams(r=0.05, sigma0=0.2, alpha=0.0, beta=0.0, hurst=None, s0=50.0)
 RECOVERY = 0.5
 #: the fractional benchmark cell
 CELL = ModelParams(r=0.05, sigma0=0.2, alpha=-2.0, beta=0.5, hurst=0.8, s0=50.0)
-#: u = 1/phi at which the bands are split
-BAND_U = 1.1
 #: command lines of the shapes the table1 and curve ops pass
 TABLE1_ARGV = ["table1"]
 CURVE_ARGV = ["curve", "--alpha=-2.0", "--sigma0=0.2", "--rate=0.05", "--tmax=10.0",
@@ -98,7 +96,7 @@ def layers() -> tuple[dict, dict]:
     low, high = [], []
     for law, t in calls:
         s, u = np.broadcast_arrays(law.s, 1.0 / law.phi(t))
-        band = u < BAND_U
+        band = u < Q_SPLIT_U
         low.append((s[band], u[band]))
         high.append((s[~band], u[~band]))
     t1, t10 = CdsContract(maturity=1.0, recovery=RECOVERY), CdsContract(maturity=10.0,
@@ -135,7 +133,7 @@ def measure(repeat: int, inner: int) -> dict:
                 func()
             runs[name].append(1e3 * (time.perf_counter() - start) / inner)
     return {
-        "repeat": repeat, "inner": inner, "band_u": BAND_U, "nodes": nodes,
+        "repeat": repeat, "inner": inner, "band_u": Q_SPLIT_U, "nodes": nodes,
         "ms": {name: statistics.median(r) for name, r in runs.items()},
         "runs_ms": {name: [round(x, 5) for x in r] for name, r in runs.items()},
         "meta": {"python": platform.python_version(), "numpy": np.__version__,
@@ -157,7 +155,8 @@ def main() -> int:
         return 0
     nodes = result["nodes"]
     print(f"table1 batch: {nodes['q_and_g_calls']} q_and_g calls, "
-          f"{nodes['low']} nodes with u < {BAND_U:g}, {nodes['high']} with u >= {BAND_U:g} "
+          f"{nodes['low']} nodes with u < {Q_SPLIT_U:g}, "
+          f"{nodes['high']} with u >= {Q_SPLIT_U:g} "
           f"(median of {args.repeat} x {args.inner})")
     for name, ms in result["ms"].items():
         print(f"  {name:<16} : {ms:8.3f} ms")

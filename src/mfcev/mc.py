@@ -200,7 +200,9 @@ def spread_estimate(default_time: np.ndarray, params: ModelParams, contract) -> 
     the per-path residuals P - s A over sqrt(n) A (Asmussen & Glynn 2007,
     ch. III), and 0 for one path.  Raises NumericalError when every path
     defaults before the first payment date, so that the mean annuity is 0.
-    The simulation horizon must reach the contract maturity.
+    The simulation horizon must reach the last premium date,
+    ``contract.payment_times()[-1]``: a path that survives the horizon is
+    read as paying every premium.
     """
     n = default_time.size
     maturity = contract.maturity
@@ -236,9 +238,11 @@ def mc_default_probability(params: ModelParams, cfg: McConfig) -> McResult:
 
 
 def mc_cds_spread(params: ModelParams, contract, cfg: McConfig) -> McResult:
-    """Simulate to the horizon, then estimate the spread in basis points."""
-    if cfg.horizon < contract.maturity - 1e-12:
+    """Simulate to the horizon, which must reach the last premium date, then
+    estimate the spread in basis points."""
+    last_date = contract.payment_times()[-1]
+    if cfg.horizon < last_date - 1e-12:
         raise ParameterError("horizon",
-                             f"simulation horizon {cfg.horizon} is shorter than "
-                             f"the contract maturity {contract.maturity}")
+                             f"simulation horizon {cfg.horizon} ends before "
+                             f"the last premium date {last_date}")
     return spread_estimate(simulate_fpt(params, cfg), params, contract)

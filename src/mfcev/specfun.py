@@ -1,6 +1,6 @@
 """Scalar special functions that report their own convergence.
 
-Log-gamma, the regularized upper incomplete gamma Q(s,x), Kummer's
+Log-gamma (libm's), the regularized upper incomplete gamma Q(s,x), Kummer's
 confluent hypergeometric 1F1 and the Whittaker M function.  Everything is
 scalar, double precision, real arguments only.  Pricing does not use this
 module (it takes the array ufuncs of ``scipy.special``).  It stays only for
@@ -29,23 +29,6 @@ STAGNATION_TOL = 1e-15
 #: arguments above this switch 1F1 to its large-z asymptotic expansion
 ASYMPTOTIC_Z = 50.0
 
-_LN_SQRT_2PI = 0.9189385332046727417803297364
-
-# Lanczos approximation, g = 7, 9 coefficients (double-precision classic).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 @dataclass(frozen=True)
 class SpecFunResult:
     """Value of an iteratively evaluated special function.
@@ -61,17 +44,10 @@ class SpecFunResult:
 
 
 def log_gamma(s: float) -> float:
-    """Natural log of the gamma function for s > 0 (Lanczos, g=7).
-
-    Relative accuracy is ~1e-13 or better across (0, 100].
-    """
+    """Natural log of the gamma function for s > 0, from libm's lgamma."""
     if not s > 0.0:
         raise ValueError(f"log_gamma requires s > 0, got {s}")
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, 9):
-        acc += _LANCZOS_COEFFS[k] / (s - 1.0 + k)
-    t = s + _LANCZOS_G - 0.5
-    return _LN_SQRT_2PI + (s - 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(s)
 
 
 def _gamma_prefactor_log(s: float, x: float) -> float:

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from mfcev import cds, cli
 from mfcev.cds import CdsContract, cds_spread
-from mfcev.cli import _fmt_bps, _fmt_prob, build_parser, main
-from mfcev.core import ModelParams
-from mfcev.mc import McConfig, mc_cds_spread, mc_default_probability
+from mfcev.cli import _fmt_bps, _fmt_prob, _fmt_z, build_parser, main
+from mfcev.core import ModelParams, default_probability
+from mfcev.mc import (McConfig, default_probability_estimate, mc_cds_spread,
+                      mc_default_probability, simulate_fpt, spread_estimate)
 
 from reference import default_probability_mpmath
 
@@ -345,6 +346,32 @@ class TestValidateCommand:
         assert len(fields) == 7
         std_error = float(fields["mc_spread_std_error_bps"])
         assert math.isfinite(std_error) and std_error > 0.0
+
+    def test_simulates_to_the_last_premium_date(self, capsys):
+        # maturity 1.25 pays semi-annually up to 1.5: both Q values are read
+        # at 1.5, and the spread is estimated from paths run to 1.5
+        flags = ["--alpha=0", "--beta=1", "--hurst=0.9", "--sigma0=0.8", "--rate=0.05",
+                 "--maturity=1.25", "--freq=2", "--paths=2000", "--steps=60", "--seed=7"]
+        _, out, _ = run_cli(capsys, "validate", *flags)
+        fields = dict(line.split(" ", 1) for line in out.strip().split("\n"))
+        params = ModelParams(r=0.05, sigma0=0.8, alpha=0.0, beta=1.0, hurst=0.9)
+        contract = CdsContract(maturity=1.25, recovery=0.5)
+        default_time = simulate_fpt(params, McConfig(n_paths=2000, n_steps=60, horizon=1.5,
+                                                     seed=7))
+        spread = spread_estimate(default_time, params, contract)
+        assert fields["mc_spread_bps"] == _fmt_bps(spread.estimate, None)
+        assert fields["mc_q"] == _fmt_prob(default_probability_estimate(default_time).estimate,
+                                           None)
+        assert fields["analytic_q"] == _fmt_prob(default_probability(1.5, params), None)
+
+    def test_z_score_prints_on_the_side_of_its_verdict(self, capsys):
+        # z = -4.02501 reads -4.0 at one decimal, inside the limit beside a FAIL
+        flags = ["--alpha=0.0", "--beta=1.0", "--hurst=0.9", "--sigma0=0.8", "--rate=0.05",
+                 "--maturity=2.0", "--paths=2000", "--steps=20", "--seed=45", "--precision=1"]
+        code, out, _ = run_cli(capsys, "validate", *flags)
+        fields = dict(line.split(" ", 1) for line in out.strip().split("\n"))
+        assert code == 1 and fields["result"].startswith("FAIL")
+        assert fields["z_score"] == "-4.03"
 
     def test_zero_paths_exits_2(self, capsys):
         flags = self.VALIDATE_FLAGS[:-6] + ["--paths", "0", "--steps", "10",
@@ -688,3 +715,16 @@ def test_main_adds_the_flags_of_its_command_only(capsys, monkeypatch):
     assert added == ["mfcev curve"] * 2
     build_parser()
     assert added[2:] == [f"mfcev {command}" for command in REQUIRED_FLAGS]
+
+
+@given(st.floats(allow_nan=False), st.one_of(st.none(), st.integers(0, 20)))
+def test_printed_z_keeps_its_verdict(z, precision):
+    text = _fmt_z(z, precision)
+    assert (abs(float(text)) <= 4.0) == (abs(z) <= 4.0)
+    # more decimals than asked for only where one fewer reads the other verdict
+    digits = 2 if precision is None else precision
+    decimals = len(text.partition(".")[2])
+    if decimals > digits:
+        assert (abs(float(f"{z:.{decimals - 1}f}")) <= 4.0) != (abs(z) <= 4.0)
+    else:
+        assert text == f"{z:.{digits}f}"

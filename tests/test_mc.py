@@ -367,6 +367,17 @@ class TestMcCdsSpread:
             mc_cds_spread(fig_params(), CdsContract(maturity=2.0, recovery=0.5),
                           McConfig(n_paths=100, n_steps=10, horizon=1.0, seed=1))
 
+    def test_horizon_must_reach_the_last_premium_date(self, fig_params):
+        # maturity 1.25 pays semi-annually up to 1.5, so a horizon of 1.25
+        # would read every path alive at 1.25 as paying at 1.5
+        contract = CdsContract(maturity=1.25, recovery=0.5)
+        p = fig_params(alpha=-2.0, beta=1.0, hurst=0.9)
+        with pytest.raises(ParameterError) as exc:
+            mc_cds_spread(p, contract, McConfig(n_paths=1000, n_steps=25, horizon=1.25, seed=1))
+        assert exc.value.constraint == "horizon"
+        res = mc_cds_spread(p, contract, McConfig(n_paths=1000, n_steps=30, horizon=1.5, seed=1))
+        assert res.estimate > 0.0 and math.isfinite(res.std_error)
+
     def test_degenerate_when_all_default_immediately(self):
         from mfcev import ModelParams
         doomed = ModelParams(r=0.0, sigma0=500.0, alpha=1.9, beta=0.0,

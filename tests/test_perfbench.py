@@ -4,6 +4,7 @@ Each case runs ``perfbench/run.py`` for half a second from the repository
 root, as the benchmark itself is run, and reads the JSON summary on the
 last line of its output.  A fast check reads the harness's source instead:
 every package name it imports, and the step kernel it traces, must exist.
+Another loads the oracle file that the harness loads, as it loads it.
 """
 
 import ast
@@ -32,6 +33,19 @@ def test_perfbench_runs(workload, trace):
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+
+
+def test_loading_the_oracles_leaves_mpmath_unloaded():
+    # perfbench loads tests/reference.py for its checks; the oracles that
+    # need mpmath import it themselves, so it stays out of the peak RSS
+    code = ("import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location('reference', sys.argv[1])\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "print('mpmath' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "tests" / "reference.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def resolve(module, name):
