@@ -3,9 +3,10 @@
 
 Three rates, each in requested path-steps (n_paths x n_steps) per second:
 
-    draw          the Philox normals alone, as one stream on one core: one
-                  standard_normal(n_paths) call per step from Philox(seed),
-                  on the calling thread
+    draw          the normals alone, as one stream on one core: one
+                  standard_normal(n_paths) call per step from block 0's
+                  generator, ``mc.block_generator(seed, 0)`` (SFC64), on
+                  the calling thread
     step          the time spent inside ``_mc_fallback.step_paths`` during a
                   simulation, summed over every block's calls, timed by
                   wrapping it where ``simulate_fpt`` looks it up
@@ -19,7 +20,7 @@ and one in paths per second:
                   payments a year)
 
 ``simulate_fpt`` splits the paths into blocks of at most ``mc.BLOCK_PATHS``,
-each drawing from its own Philox stream and stepping its own paths, and runs
+each drawing from its own SFC64 stream and stepping its own paths, and runs
 the blocks on up to one thread per usable CPU (``blocks`` and ``workers`` in
 the output).  ``simulate_fpt_over_draw`` is the ratio of the two medians: 1
 or more on one block, where one core draws and steps, and below 1 where
@@ -58,7 +59,7 @@ CONTRACT = CdsContract(maturity=HORIZON, recovery=0.5, payments_per_year=2)
 
 
 def time_draws(cfg: McConfig) -> float:
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = mc.block_generator(cfg.seed, 0)
     start = time.perf_counter()
     for _ in range(cfg.n_steps):
         rng.standard_normal(cfg.n_paths)

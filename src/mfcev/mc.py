@@ -17,11 +17,12 @@ s0^(2-alpha) times this one, so the default times are the same, and no
 power of s0 is formed however negative alpha is.
 
 The B = ceil(n_paths / BLOCK_PATHS) blocks of paths are of equal size:
-block b holds the paths [n b // B, n (b+1) // B) and is driven by the
-counter-based generator Philox(seed).jumped(b), one standard_normal(block
-size) per step.  So results depend only on (seed, n_paths, n_steps), and
-runs with different model parameters but the same seed share their noise
-(coupled comparisons).  Block 0 is Philox(seed) itself.  Each step draws
+block b holds the paths [n b // B, n (b+1) // B) and is driven by its own
+generator, SFC64(SeedSequence(seed, spawn_key=(b,))), one
+standard_normal(block size) per step; the spawn keys give the blocks
+independent streams (L'Ecuyer et al. 2017).  So results depend only on
+(seed, n_paths, n_steps), and runs with different model parameters but the
+same seed share their noise (coupled comparisons).  Each step draws
 one normal for every path of a block, live or not, and
 ``_mc_fallback.step_paths`` advances every path in its own slot; an
 absorbed path's state is NaN, which no later step reads as a default.  A
@@ -60,8 +61,16 @@ MAX_PATHS = 10_000_000
 #: and the step coefficients), so a grid at the cap takes about 400 MB
 MAX_STEPS = 10_000_000
 
-#: paths per block at most: each block draws from its own Philox stream
+#: paths per block at most: each block draws from its own SFC64 stream.
+#: Smaller blocks would put more of a mid-sized run on the second core, but
+#: they slow the 10^5-path validate run, and every block size is a seed
+#: contract of its own
 BLOCK_PATHS = 50_000
+
+
+def block_generator(seed: int, b: int) -> np.random.Generator:
+    """The generator of path block b under the master seed."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
 
 
 def have_compiled_kernel() -> bool:
@@ -75,10 +84,11 @@ class McConfig:
     """Simulation controls: path count, uniform grid size on [0, horizon], master seed.
 
     The seed is per block: block b of the ceil(n_paths / BLOCK_PATHS) path
-    blocks draws from Philox(seed).jumped(b), so up to BLOCK_PATHS paths
-    the seed's own stream drives every path.  n_paths, n_steps and seed are
-    integers (int or numpy integer, not bool); n_paths and n_steps are
-    capped at MAX_PATHS and MAX_STEPS, and their product at MAX_PATH_STEPS.
+    blocks draws from SFC64(SeedSequence(seed, spawn_key=(b,))), so up to
+    BLOCK_PATHS paths the one stream of spawn key 0 drives every path.
+    n_paths, n_steps and seed are integers (int or numpy integer, not
+    bool); n_paths and n_steps are capped at MAX_PATHS and MAX_STEPS, and
+    their product at MAX_PATH_STEPS.
     """
 
     n_paths: int
@@ -157,7 +167,7 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
 
     def run_block(b: int) -> None:
         lo, hi = n * b // n_blocks, n * (b + 1) // n_blocks
-        rng = np.random.Generator(np.random.Philox(cfg.seed).jumped(b))
+        rng = block_generator(cfg.seed, b)
         xb, tb = x[lo:hi], default_time[lo:hi]
         z, work = np.empty(hi - lo), np.empty(hi - lo)
         n_alive = hi - lo

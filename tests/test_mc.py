@@ -122,9 +122,9 @@ class TestSimulateFpt:
 
 
 class TestDrawThread:
-    """Block b of the paths draws from Philox(seed).jumped(b).  One block runs
-    on the calling thread; more run on worker threads, none of which outlives
-    the call, and the number of workers never changes a bit."""
+    """Block b of the paths draws from SFC64(SeedSequence(seed, spawn_key=(b,))).
+    One block runs on the calling thread; more run on worker threads, none of
+    which outlives the call, and the number of workers never changes a bit."""
 
     CFG = McConfig(n_paths=2000, n_steps=50, horizon=1.0, seed=21)
     #: three blocks, more than this machine may have workers for
@@ -143,8 +143,8 @@ class TestDrawThread:
     def simulate_and_replay(monkeypatch, params, cfg):
         """The simulated default times, the steps each block took, and the
         default times of a loop that, block by block, draws
-        standard_normal(block size) from Philox(seed).jumped(b) before each
-        of that block's steps."""
+        standard_normal(block size) from SFC64(SeedSequence(seed,
+        spawn_key=(b,))) before each of that block's steps."""
         step = _mc_fallback.step_paths
         blocks = {}     # address of a block's states -> its step coefficients
         threads = set()
@@ -171,9 +171,8 @@ class TestDrawThread:
         # the blocks' states are slices of one array, so address order is block order
         for b, (_, coefficients) in enumerate(sorted(blocks.items())):
             lo, hi = n * b // n_blocks, n * (b + 1) // n_blocks
-            # block 0 draws from the seed's own stream
-            bit_generator = np.random.Philox(cfg.seed)
-            rng = np.random.Generator(bit_generator.jumped(b) if b else bit_generator)
+            seed_sequence = np.random.SeedSequence(cfg.seed, spawn_key=(b,))
+            rng = np.random.Generator(np.random.SFC64(seed_sequence))
             x, work = np.ones(hi - lo), np.empty(hi - lo)
             n_alive = hi - lo
             for adt, b_step, csd, t_next in coefficients:
@@ -194,9 +193,9 @@ class TestDrawThread:
     @pytest.mark.parametrize("n", [1, 7, 2000, 19_999, 20_000, BLOCK_PATHS])
     @pytest.mark.parametrize("doomed", [False, True], ids=["some-default", "all-default"])
     def test_draw_tasks_match_one_thread_loop(self, monkeypatch, n, doomed):
-        # up to BLOCK_PATHS paths, one block draws standard_normal(n) from
-        # Philox(seed) per step; doomed paths all default at once, and the
-        # loop stops early
+        # up to BLOCK_PATHS paths, one block draws standard_normal(n) per
+        # step from the stream of spawn key 0; doomed paths all default at
+        # once, and the loop stops early
         cfg = McConfig(n_paths=n, n_steps=25, horizon=1.0, seed=5)
         params = self.DOOMED if doomed else ModelParams(r=0.05, sigma0=0.8, alpha=-2.0,
                                                         beta=0.5, hurst=0.8, s0=50.0)
@@ -205,16 +204,16 @@ class TestDrawThread:
             assert steps[0] < cfg.n_steps and not np.isnan(times).any()
         assert np.array_equal(times, expected, equal_nan=True)
 
-    def test_blocks_match_jumped_streams(self, monkeypatch):
+    def test_blocks_match_spawned_streams(self, monkeypatch):
         # two blocks of 25,000 and 25,001 paths; here the second block loses
-        # its last path on step 16 and stops, while the first steps to the end
-        cfg = McConfig(n_paths=BLOCK_PATHS + 1, n_steps=20, horizon=1.0, seed=4)
+        # its last path on step 19 and stops, while the first steps to the end
+        cfg = McConfig(n_paths=BLOCK_PATHS + 1, n_steps=20, horizon=1.0, seed=11)
         params = ModelParams(r=0.0, sigma0=10.5, alpha=1.9, beta=0.0, hurst=None, s0=1.0)
         times, steps, expected = self.simulate_and_replay(monkeypatch, params, cfg)
-        assert steps == [cfg.n_steps, 16]
+        assert steps == [cfg.n_steps, 19]
         assert np.array_equal(times, expected, equal_nan=True)
 
-    def test_three_blocks_match_jumped_streams(self, monkeypatch, fig_params):
+    def test_three_blocks_match_spawned_streams(self, monkeypatch, fig_params):
         times, steps, expected = self.simulate_and_replay(
             monkeypatch, fig_params(alpha=-2.0, sigma0=0.8), self.BLOCKS_CFG)
         assert steps == [self.BLOCKS_CFG.n_steps] * 3

@@ -140,9 +140,11 @@ def test_classical_rows_ignore_hurst(alpha, hurst, r, maturity, sigma0):
 
 def default_times_reference(params, n_paths, n_steps, horizon, seed):
     """Default times of the seed contract, one full-array loop: per step one
-    standard_normal(n_paths), the Euler update ((x + A dt x) + B dt) +
-    ((csd sqrt(x)) z) on the unabsorbed paths, and the step's right endpoint
-    as the default time of each path it takes to x <= 0."""
+    standard_normal(n_paths) from SFC64(SeedSequence(seed, spawn_key=(0,))),
+    the stream of a run's only block up to BLOCK_PATHS paths, the Euler
+    update ((x + A dt x) + B dt) + ((csd sqrt(x)) z) on the unabsorbed
+    paths, and the step's right endpoint as the default time of each path
+    it takes to x <= 0."""
     alpha, sigma0, beta = params.alpha, params.sigma0, params.beta
     two_a = 2.0 - alpha
     tgrid = np.linspace(0.0, horizon, n_steps + 1)
@@ -150,7 +152,7 @@ def default_times_reference(params, n_paths, n_steps, horizon, seed):
     adt = two_a * params.r * (horizon / n_steps)
     b = 0.5 * sigma0 ** 2 * (1.0 - alpha) * two_a * dv
     csd = two_a * sigma0 * np.sqrt(dv)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
     x = np.ones(n_paths)
     default_time = np.full(n_paths, np.nan)
     for k in range(n_steps):
