@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
+
 
 def step_paths(x: np.ndarray, default_time: np.ndarray, z: np.ndarray, adt: float,
                b: float, csd: float, t_next: float, work: np.ndarray, n_alive: int) -> int:
@@ -28,15 +30,20 @@ def step_paths(x: np.ndarray, default_time: np.ndarray, z: np.ndarray, adt: floa
     n_alive       number of paths alive before the step
 
     Each state becomes ((x + adt x) + b) + ((csd sqrt(x)) z).  Returns the
-    number of paths still alive.
+    number of paths still alive.  Under np.errstate(over="raise"), as
+    ``mc.simulate_fpt`` steps, a state that overflows raises NumericalError.
     """
-    np.sqrt(x, out=work)
-    work *= csd
-    z *= work
-    np.multiply(x, adt, out=work)
-    x += work
-    x += b
-    x += z
+    try:
+        np.sqrt(x, out=work)
+        work *= csd
+        z *= work
+        np.multiply(x, adt, out=work)
+        x += work
+        x += b
+        x += z
+    except FloatingPointError as exc:
+        raise NumericalError(f"Monte-Carlo state overflowed on the Euler step to "
+                             f"t = {t_next!r}: {exc}") from exc
     # fmin skips the NaN of absorbed paths
     if np.fmin.reduce(x) > 0.0:
         return n_alive

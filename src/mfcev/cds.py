@@ -176,9 +176,12 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
     onset = law.onset(horizon)
     dates, accrual = _schedule(contracts)
     q_dates = law.q(np.hstack([horizon, dates]))  # Q(T) in column 0
+    # r t overflows to inf at the largest rates, where e^(-rt) is 0; the values
+    # that are not finite end in the checks of the legs and of the annuity
+    with np.errstate(over="ignore"):
+        discount = np.exp(-law.r * dates)
     # summed exactly, so that neither padding nor the batch moves a bit
-    annuity = np.array([math.fsum(row) for row in
-                        accrual * np.exp(-law.r * dates) * (1.0 - q_dates[:, 1:])])
+    annuity = np.array([math.fsum(row) for row in accrual * discount * (1.0 - q_dates[:, 1:])])
 
     # each pass integrates the unconverged rows on one mesh; from the first
     # doubling on, a cell's error estimate is the larger change of its two
@@ -193,14 +196,15 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
         sub = law.take(rows)
         t, w = _mesh(onset[rows], horizon[rows], panels)
         q, g = sub.q_and_g(t)
-        w *= np.exp(-sub.r * t)
-        new = np.array([(w * g).sum(axis=1), (w * q).sum(axis=1)])
-        if panels > BASE_PANELS:
-            with np.errstate(invalid="ignore"):  # inf - inf on legs that are not finite
+        # r t = inf, 0 * inf in w * g and inf - inf on legs that are not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            w *= np.exp(-sub.r * t)
+            new = np.array([(w * g).sum(axis=1), (w * q).sum(axis=1)])
+            if panels > BASE_PANELS:
                 diff = np.abs(new - legs[:, rows])
-            err[rows] = diff.max(axis=0)
-            done[rows] |= ((diff <= np.maximum(EPSREL * np.abs(new), EPSABS)).all(axis=0)
-                           | ~np.isfinite(new).all(axis=0))
+                err[rows] = diff.max(axis=0)
+                done[rows] |= ((diff <= np.maximum(EPSREL * np.abs(new), EPSABS)).all(axis=0)
+                               | ~np.isfinite(new).all(axis=0))
         legs[:, rows] = new
         rows = np.flatnonzero(~done)
         if rows.size == 0 or panels >= MAX_PANELS:
@@ -210,12 +214,13 @@ def _price_batch(params: list[ModelParams], contracts: list[CdsContract]):
     density, survival = legs
     r = law.r[:, 0]
     v_density = lgd * density
-    v_parts = lgd * (np.exp(-r * horizon[:, 0]) * q_dates[:, 0] + r * survival)
-    # triage in this order: leg not finite, unconverged, the two forms disagreeing
-    finite_leg = np.isfinite(v_density) & np.isfinite(v_parts)
-    with np.errstate(invalid="ignore"):  # inf - inf on the cells that are not finite
+    # r T = inf, and inf - inf on the cells that are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_parts = lgd * (np.exp(-r * horizon[:, 0]) * q_dates[:, 0] + r * survival)
         disagree = np.abs(v_density - v_parts) > (
             _LEG_AGREEMENT_RTOL * np.maximum(np.abs(v_density), np.abs(v_parts)) + 1e-15)
+    # triage in this order: leg not finite, unconverged, the two forms disagreeing
+    finite_leg = np.isfinite(v_density) & np.isfinite(v_parts)
     errors: list[NumericalError | None] = [None] * len(params)
     for i in np.flatnonzero(priced & ~finite_leg):
         errors[i] = NumericalError(

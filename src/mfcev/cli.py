@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cds import CdsContract, cds_spread, default_curve, spread_table
-from .core import ModelParams, default_probability
+from .core import ALPHA_MIN, ModelParams, default_probability
 from .errors import NumericalError, ParameterError
 from . import mc
 
@@ -38,16 +38,19 @@ MAX_SCENARIO_CHARS = 4_000_000
 #: curves of one ``mfcev curve``; each costs about 1 KB beyond its points
 #: (its arrays, label and CSV column), so series at the cap take about 100 MB
 MAX_CURVE_SERIES = 100_000
+#: digits of --precision at most: a double's exact decimal expansion has at
+#: most 1,074 fractional digits
+MAX_PRECISION = 1100
 #: the status of a flag the command cannot run without
 _REQUIRED = object()
 
 #: every flag: its parser and help text
 _FLAGS = {
-    "alpha": (float, "elasticity exponent (< 2)"),
+    "alpha": (float, f"elasticity exponent in [{ALPHA_MIN:g}, 2)"),
     "beta": (float, "fractional mixing weight (>= 0)"),
     "hurst": (float, "Hurst exponent in (3/4, 1)"),
     "sigma0": (float, "volatility scale per sqrt(year)"),
-    "rate": (float, "risk-free rate per year"),
+    "rate": (float, "risk-free rate per year (>= 0)"),
     "recovery": (float, "recovery rate in [0, 1]"),
     "maturity": (float, "contract maturity in years"),
     "freq": (int, "premium payments per year"),
@@ -56,7 +59,7 @@ _FLAGS = {
     "paths": (int, "Monte-Carlo path count"),
     "steps": (int, "Monte-Carlo time steps"),
     "seed": (int, "Monte-Carlo master seed"),
-    "precision": (int, "override output precision"),
+    "precision": (int, f"override output precision, in [0, {MAX_PRECISION}] digits"),
     "output": (str, "write CSV here instead of stdout"),
     "maturities": (str, "comma-separated maturity list"),
     "series": (str, "curve series BETA[:HURST]; repeatable"),
@@ -132,10 +135,9 @@ def _merge(args: argparse.Namespace, command: _Command) -> dict:
         if value is _REQUIRED:
             raise ParameterError(name, f"missing required parameter --{name}")
         merged[name] = value
-    # a double's exact decimal expansion has at most 1,074 fractional digits
-    if merged["precision"] is not None and not 0 <= merged["precision"] <= 1100:
-        raise ParameterError("precision",
-                             f"precision must lie in [0, 1100], got {merged['precision']}")
+    if merged["precision"] is not None and not 0 <= merged["precision"] <= MAX_PRECISION:
+        raise ParameterError("precision", f"precision must lie in [0, {MAX_PRECISION}], "
+                                          f"got {merged['precision']}")
     return merged
 
 

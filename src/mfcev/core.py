@@ -48,6 +48,10 @@ LOG_FLOOR = -700.0
 ONSET_U = 700.0
 
 
+#: the most negative alpha ModelParams accepts: Q's accuracy is stated down to it
+ALPHA_MIN = -1000.0
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Mixed-fractional CEV parameter set.
@@ -79,8 +83,8 @@ class ModelParams:
         Each check is a comparison that NaN fails, bounded strictly at the
         infinite end, so every parameter must also be finite.
         """
-        if not -1000.0 <= self.alpha < 2.0:
-            raise ParameterError("alpha", f"alpha must lie in [-1000, 2), got {self.alpha}")
+        if not ALPHA_MIN <= self.alpha < 2.0:
+            raise ParameterError("alpha", f"alpha must lie in [{ALPHA_MIN:g}, 2), got {self.alpha}")
         if self.hurst is not None and not 0.75 < self.hurst < 1.0:
             raise ParameterError("hurst", f"hurst must lie in (3/4, 1), got {self.hurst}")
         if not 0.0 <= self.beta < math.inf:

@@ -141,7 +141,7 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
     Returns an array of length n_paths holding the grid time at which each
     path was absorbed (the right endpoint of the crossing step), or NaN for
     paths that survive to the horizon.  Raises NumericalError when a step
-    coefficient leaves the double range.
+    coefficient, or a path's state, leaves the double range.
     """
     two_a = 2.0 - params.alpha
     # numpy scalars square to inf where Python floats raise OverflowError
@@ -171,13 +171,16 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
         xb, tb = x[lo:hi], default_time[lo:hi]
         z, work = np.empty(hi - lo), np.empty(hi - lo)
         n_alive = hi - lo
-        for k in range(cfg.n_steps):
-            rng.standard_normal(out=z)
-            n_alive = _mc_fallback.step_paths(xb, tb, z, adt, float(b_steps[k]),
-                                              float(csd_steps[k]), float(tgrid[k + 1]),
-                                              work, n_alive)
-            if n_alive == 0:
-                break
+        # errstate is per thread, so each block sets its own: an overflow of
+        # the state raises in the step kernel instead of carrying an inf on
+        with np.errstate(over="raise"):
+            for k in range(cfg.n_steps):
+                rng.standard_normal(out=z)
+                n_alive = _mc_fallback.step_paths(xb, tb, z, adt, float(b_steps[k]),
+                                                  float(csd_steps[k]), float(tgrid[k + 1]),
+                                                  work, n_alive)
+                if n_alive == 0:
+                    break
 
     if n_blocks == 1:
         run_block(0)

@@ -320,6 +320,19 @@ class TestValidateCommand:
         assert all(math.isfinite(float(value)) for value in fields.values())
         assert "Traceback" not in err
 
+    def test_state_overflow_exits_3(self, capsys):
+        # beta = 1.3e122 makes the first drift increment about 6e247, and A dt = 43
+        # multiplies the state by 44 a step, so it overflows on the step to t = 3.8;
+        # a state at inf, or NaN, would read as a survivor and score mc_q = 0
+        code, out, err = run_cli(
+            capsys, "validate", "--alpha=-1000.0", "--beta=1.3315647761934871e+122",
+            "--hurst=0.9973180809828153", "--sigma0=0.8099451687278921",
+            "--rate=0.4318540785294554", "--maturity=4.525860366413656", "--freq=1",
+            "--paths=200", "--steps=50", "--seed=3")
+        assert code == 3 and out == ""
+        assert err == ("error: numerical failure: Monte-Carlo state overflowed on the Euler "
+                       "step to t = 3.8000000000000003: overflow encountered in multiply\n")
+
     def test_no_defaults_scores_against_null_std_error(self, capsys):
         # 100 paths see no default against an expected 0.94: the binomial
         # standard error is 0, so z uses sqrt(Q (1-Q) / n) under the null
@@ -470,10 +483,16 @@ VALIDATE_RUN = ["validate", "--alpha=0", "--hurst=0.8", "--maturity=1",
     [*VALIDATE_RUN, "--sigma0=1e300", "--beta=0", "--rate=0.05"],
     [*VALIDATE_RUN, "--sigma0=0.2", "--beta=1e300", "--rate=0.05"],
     [*VALIDATE_RUN, "--sigma0=0.2", "--beta=0", "--rate=1e308"],
-], ids=["spread-k", "spread-beta", "validate-k", "validate-beta", "validate-rate"])
+    ["spread", "--alpha=0", "--beta=0", "--hurst=0.8", "--sigma0=0.2",
+     "--rate=2.7605646406224805e+307", "--maturity=8.86", "--recovery=0.5"],
+    ["spread", "--alpha=-2", "--beta=0", "--hurst=0.8", "--sigma0=3.7342039645743225e+189",
+     "--rate=0", "--maturity=1.5736804744615324e-254", "--recovery=0.8419417068871948"],
+], ids=["spread-k", "spread-beta", "validate-k", "validate-beta", "validate-rate",
+        "spread-rate", "spread-k-tiny-maturity"])
 def test_out_of_range_inputs_write_one_error_line(argv):
     # Q = 1 from the first payment date, so the annuity is 0; no numpy
-    # warning, and no OverflowError from the Monte-Carlo step, comes first
+    # warning (r t overflowing, 0 * inf in the density leg), and no
+    # OverflowError from the Monte-Carlo step, comes first
     proc = run_module(*argv)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == ("error: numerical failure: premium annuity underflowed to zero "

@@ -103,6 +103,37 @@ def test_cli_exit_codes(alpha, hurst, beta, r, maturity, sigma0):
     assert code in PRICING_EXIT_CODES, err
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["spread", "table1", "validate"]), alpha=DOMAIN["alpha"],
+       hurst=DOMAIN["hurst"], beta=WHOLE_DOMAIN["beta"], r=WHOLE_DOMAIN["r"],
+       maturity=WHOLE_DOMAIN["t"], sigma0=WHOLE_DOMAIN["sigma0"],
+       recovery=st.floats(min_value=0.0, max_value=1.0), freq=st.integers(1, 12))
+@example(command="validate", alpha=-1000.0, hurst=0.9973180809828153,
+         beta=1.3315647761934871e+122, r=0.4318540785294554, maturity=4.525860366413656,
+         sigma0=0.8099451687278921, recovery=0.5, freq=1)
+@example(command="spread", alpha=0.0, hurst=0.8, beta=0.0, r=2.7605646406224805e+307,
+         maturity=8.86, sigma0=0.2, recovery=0.5, freq=2)
+@example(command="spread", alpha=-2.0, hurst=0.8, beta=0.0, r=0.0,
+         maturity=1.5736804744615324e-254, sigma0=3.7342039645743225e+189,
+         recovery=0.8419417068871948, freq=2)
+def test_pricing_commands_end_cleanly_over_every_magnitude(command, alpha, hurst, beta, r,
+                                                           maturity, sigma0, recovery, freq):
+    # a numpy warning on the way raises here, as pytest makes RuntimeWarning an error
+    market = [f"--sigma0={sigma0!r}", f"--rate={r!r}", f"--recovery={recovery!r}",
+              f"--freq={freq}"]
+    cell = [f"--alpha={alpha!r}", f"--beta={beta!r}", f"--hurst={hurst!r}", *market,
+            f"--maturity={maturity!r}"]
+    argv = {"spread": ["spread", *cell],
+            "table1": ["table1", *market, f"--maturities={maturity!r}"],
+            "validate": ["validate", *cell, "--paths=200", "--steps=50", "--seed=3"]}[command]
+    code, out, err = run_quietly(argv)
+    assert code in (PRICING_EXIT_CODES | {1} if command == "validate" else PRICING_EXIT_CODES)
+    if code in (0, 1):
+        assert err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def outcome(view, params):
     """view(params) as exact bytes, or the type and message of the NumericalError it raises."""
     try:
