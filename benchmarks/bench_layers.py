@@ -123,6 +123,27 @@ def recorded(*names):
         yield calls
 
 
+def seconds(func, calls: int = 1):
+    """A layer that runs ``func`` ``calls`` times and returns the mean seconds per call."""
+    def layer() -> float:
+        start = time.perf_counter()
+        for _ in range(calls):
+            func()
+        return (time.perf_counter() - start) / calls
+    return layer
+
+
+def rounds(layers: dict, repeat: int) -> dict:
+    """Each layer's seconds in each of ``repeat`` rounds, after a warm-up call."""
+    runs = {name: [] for name in layers}
+    for layer in layers.values():
+        layer()
+    for _ in range(repeat):
+        for name, layer in layers.items():
+            runs[name].append(layer())
+    return runs
+
+
 def run_table1():
     return spread_table(CELL, TABLE1_ALPHAS, TABLE1_BETA_HURST, TABLE1_MATURITIES,
                         recovery=RECOVERY)
@@ -200,27 +221,6 @@ def mc_layers(cfg: McConfig) -> tuple[dict, dict]:
     layers = {"draw": seconds(draw), "step": step, "simulate_fpt": seconds(simulation),
               "estimators": seconds(estimators)}
     return layers, counts
-
-
-def seconds(func, calls: int = 1):
-    """A layer that runs ``func`` ``calls`` times and returns the mean seconds per call."""
-    def layer() -> float:
-        start = time.perf_counter()
-        for _ in range(calls):
-            func()
-        return (time.perf_counter() - start) / calls
-    return layer
-
-
-def rounds(layers: dict, repeat: int) -> dict:
-    """Each layer's seconds in each of ``repeat`` rounds, after a warm-up call."""
-    runs = {name: [] for name in layers}
-    for layer in layers.values():
-        layer()
-    for _ in range(repeat):
-        for name, layer in layers.items():
-            runs[name].append(layer())
-    return runs
 
 
 def measure(repeat: int, inner: int, cfg: McConfig) -> dict:
