@@ -85,7 +85,7 @@ TARGETS = {
     "step": (_mc_fallback, "step_paths"),
 }
 
-#: the benchmark cell; ``spread_table`` reads only its r, sigma0 and s0
+#: the benchmark cell
 CELL = ModelParams(r=0.05, sigma0=0.2, alpha=-2.0, beta=0.5, hurst=0.8, s0=50.0)
 RECOVERY = 0.5
 #: the contract ``mfcev validate`` prices, simulated to its maturity
@@ -145,8 +145,8 @@ def rounds(layers: dict, repeat: int) -> dict:
 
 
 def run_table1():
-    return spread_table(CELL, TABLE1_ALPHAS, TABLE1_BETA_HURST, TABLE1_MATURITIES,
-                        recovery=RECOVERY)
+    return spread_table(CELL.r, CELL.sigma0, TABLE1_ALPHAS, TABLE1_BETA_HURST,
+                        TABLE1_MATURITIES, recovery=RECOVERY)
 
 
 def cli_parse(argv: list[str]):

@@ -270,7 +270,8 @@ def cds_spread(contract: CdsContract, params: ModelParams) -> float:
     return _spread_bps(leg[0], annuity[0], errors[0])
 
 
-def spread_table(params_base: ModelParams,
+def spread_table(r: float,
+                 sigma0: float,
                  alphas: list[float],
                  betas_hursts: list[tuple[float, float | None]],
                  maturities: list[float],
@@ -279,22 +280,21 @@ def spread_table(params_base: ModelParams,
                  payments_per_year: int = 2) -> list[SpreadCell]:
     """Cartesian spread grid in fixed (beta, hurst, maturity, alpha) order.
 
-    params_base supplies r, sigma0 and s0; hurst may be None only where
-    beta = 0.  The grid may hold at most MAX_TABLE_CELLS cells.  Every cell's
-    ModelParams and CdsContract is built before any pricing, so a bad input
-    raises ParameterError naming it.  A cell whose pricing fails carries the
-    NumericalError's message, with spread NaN.  The grid is priced
-    BATCH_CELLS cells per kernel pass.
+    Each cell has rate r and volatility scale sigma0; hurst may be None only
+    where beta = 0.  At most MAX_TABLE_CELLS cells.  The parameter sets, then
+    the contracts, are built before any pricing, so a bad input raises
+    ParameterError naming it.  A cell whose pricing fails carries the
+    NumericalError's message, with spread NaN.  Priced BATCH_CELLS per pass.
     """
+    sets = [[ModelParams(r=r, sigma0=sigma0, alpha=alpha, beta=beta, hurst=hurst)
+             for alpha in alphas] for beta, hurst in betas_hursts]
     n_cells = len(alphas) * len(betas_hursts) * len(maturities)
     if n_cells > MAX_TABLE_CELLS:
         raise ParameterError("maturities", f"{n_cells} table cells exceed the cap of "
                                            f"{MAX_TABLE_CELLS}")
     contracts = [CdsContract(maturity=maturity, recovery=recovery,
                              payments_per_year=payments_per_year) for maturity in maturities]
-    grid = [(ModelParams(r=params_base.r, sigma0=params_base.sigma0, alpha=alpha, beta=beta,
-                         hurst=hurst, s0=params_base.s0), contract)
-            for beta, hurst in betas_hursts for contract in contracts for alpha in alphas]
+    grid = [(p, contract) for row in sets for contract in contracts for p in row]
     cells = []
     for start in range(0, len(grid), BATCH_CELLS):
         batch = grid[start:start + BATCH_CELLS]

@@ -48,7 +48,7 @@ _REQUIRED = object()
 _FLAGS = {
     "alpha": (float, f"elasticity exponent in [{ALPHA_MIN:g}, 2)"),
     "beta": (float, "fractional mixing weight (>= 0)"),
-    "hurst": (float, "Hurst exponent in (3/4, 1)"),
+    "hurst": (float, "Hurst exponent in (3/4, 1); needed only when beta > 0"),
     "sigma0": (float, "volatility scale per sqrt(year)"),
     "rate": (float, "risk-free rate per year (>= 0)"),
     "recovery": (float, "recovery rate in [0, 1]"),
@@ -188,9 +188,8 @@ def cmd_table1(merged: dict) -> int:
                                  f"bad maturity list {merged['maturities']!r}") from exc
         if not maturities:
             raise ParameterError("maturities", "maturity list is empty")
-    base = _model_params(merged, alpha=0.0, beta=0.0, hurst=None)
-    cells = spread_table(base, TABLE1_ALPHAS, TABLE1_BETA_HURST, maturities,
-                         recovery=merged["recovery"], payments_per_year=merged["freq"])
+    cells = spread_table(merged["rate"], merged["sigma0"], TABLE1_ALPHAS, TABLE1_BETA_HURST,
+                         maturities, recovery=merged["recovery"], payments_per_year=merged["freq"])
     lines = ["beta,hurst,alpha,maturity,spread_bps"]
     for cell in cells:
         if cell.error is not None:
@@ -231,8 +230,9 @@ def cmd_curve(merged: dict) -> int:
 
     t, q = default_curve([_model_params(merged, beta=beta, hurst=hurst) for beta, hurst in series],
                          merged["tmax"], merged["points"])
-    labels = [f"q_b{beta:g}" if hurst is None else f"q_b{beta:g}_H{hurst:g}"
-              for beta, hurst in series]
+    # the shortest text that reads back as each value, so that no two series share a name
+    labels = ["q_b" + "_H".join(repr(v).removesuffix(".0") for v in pair if v is not None)
+              for pair in series]
     lines = ["t," + ",".join(labels if merged["series"] else ["q"])]
     for t_i, *qs in zip(t, *q):
         lines.append(",".join([f"{t_i:.10g}", *(_fmt_prob(v, merged["precision"]) for v in qs)]))
@@ -290,7 +290,7 @@ def cmd_validate(merged: dict) -> int:
 
 _COMMANDS = {
     "spread": _Command("price one CDS spread (bps)", cmd_spread, {
-        "alpha": _REQUIRED, "beta": _REQUIRED, "hurst": _REQUIRED, "sigma0": _REQUIRED,
+        "alpha": _REQUIRED, "beta": _REQUIRED, "hurst": None, "sigma0": _REQUIRED,
         "rate": _REQUIRED, "recovery": _REQUIRED, "maturity": _REQUIRED, "freq": 2,
         "precision": None}),
     "table1": _Command("benchmark spread grid as CSV", cmd_table1, {
@@ -301,7 +301,7 @@ _COMMANDS = {
         "hurst": None, "tmax": _REQUIRED, "points": _REQUIRED, "series": None,
         "precision": None, "output": None}),
     "validate": _Command("Monte-Carlo vs analytic report", cmd_validate, {
-        "alpha": _REQUIRED, "beta": _REQUIRED, "hurst": _REQUIRED, "sigma0": _REQUIRED,
+        "alpha": _REQUIRED, "beta": _REQUIRED, "hurst": None, "sigma0": _REQUIRED,
         "rate": _REQUIRED, "recovery": 0.5, "maturity": _REQUIRED, "freq": 2,
         "paths": _REQUIRED, "steps": _REQUIRED, "seed": _REQUIRED, "precision": None}),
 }

@@ -1,10 +1,15 @@
 """Model parameters, the power transform of the price, and default analytics.
 
-The asset price follows a constant-elasticity-of-variance diffusion whose
-noise is a mixture of a standard Brownian motion and an independent
-fractional Brownian motion with Hurst exponent in (3/4, 1).  Default is the
-first time the price hits zero.  Under the power transform x = S^(2-alpha)
-the transformed state is a time-inhomogeneous square-root diffusion
+The model is a constant-elasticity-of-variance price S driven by W + beta
+B^H, a Brownian motion plus an independent fractional Brownian motion with
+Hurst exponent in (3/4, 1); default is the first time S hits zero.  The law
+priced here and simulated in ``mc`` is the paper's effective-variance
+reduction, the Markov diffusion dS = r S dt + delta S^(alpha/2) dW_v on the
+clock v(t) = t + beta^2 t^(2H), not the pathwise SDE driven by W + beta B^H,
+whose noise is equivalent in law to a Brownian motion (Cheridito 2001,
+Bernoulli 7(6)): at alpha = r = 0, sigma0 = 0.2, beta = 1 and H = 0.9 that
+SDE reads Q(2) = 0.0207, the clock 0.0312.  Under the power transform
+x = S^(2-alpha) the state is a time-inhomogeneous square-root diffusion
 
     dx = [A x + B(t)] dt + sqrt(2 C(t) x) dW,
 
@@ -15,11 +20,8 @@ closed form
 
 with xi = (1-alpha)/(2-alpha) and phi the discounted running integral of
 C.  This module evaluates phi (closed form and quadrature oracle), the
-first-passage density g = dQ/dt, and Q itself.  The closed forms are
-array-native (``FirstPassageLaw``) and take ln phi from the logarithms of
-the parameters, so every accepted input has a Q; the scalar functions are
-thin views of it.  Q has one evaluator, ``_regularized_upper_gamma``, for
-Q alone and for Q with g; its docstring gives its split and its accuracy.
+first-passage density g = dQ/dt, and Q; the scalar functions are thin views
+of the array-native ``FirstPassageLaw``, whose docstring gives the accuracy.
 """
 
 from __future__ import annotations

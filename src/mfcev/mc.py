@@ -1,15 +1,13 @@
 """Monte-Carlo oracle: simulate the transformed state to default.
 
-The transformed state follows the Ito diffusion matching the model's
-forward equation,
-
-    dx = [A x + B(t)] dt + sqrt(2 C(t) x) dW,      x(0) = s0^(2-alpha),
-
+The transformed state x = S^(2-alpha) follows ``core``'s square-root
+diffusion, under the law that ``core``'s closed form prices: the Markov
+diffusion on the variance clock v(t) = t + beta^2 t^(2H), not the pathwise
+SDE driven by W + beta B^H (Cheridito 2001; ``core`` gives the gap).  It is
 discretized by an Euler scheme with full truncation of the diffusion term
-and absorption at the first nonpositive state.  Because B and C are both
-proportional to the derivative of the variance clock v(t) = t + beta^2
-t^(2H), the increments use the exact clock increment dv over each step
-rather than a left-endpoint approximation.
+and absorption at the first nonpositive state.  As B and C are both
+proportional to v', each step uses the exact clock increment dv rather
+than a left-endpoint approximation.
 
 The simulation runs in units with s0 = 1, as ``core.FirstPassageLaw``
 does: x0 = 1 and delta^2 = sigma0^2.  The state in model units is

@@ -48,7 +48,7 @@ def test_criterion_1_table1_reproduction():
     assert abs(inclusive - 22.0907) < abs(exclusive - 22.0907)
     assert abs(inclusive - 22.0907) <= table1_tolerance(22.0907)
 
-    cells = spread_table(p, [0.0, -2.0], BETAS_HURSTS, MATURITIES)
+    cells = spread_table(0.05, 0.2, [0.0, -2.0], BETAS_HURSTS, MATURITIES)
     worst = 0.0
     failures = []
     for cell in cells:

@@ -183,8 +183,8 @@ class TestCdsSpread:
 class TestSpreadTable:
     BETAS_HURSTS = [(0.0, None), (0.5, 0.8), (0.5, 0.9), (1.0, 0.8), (1.0, 0.9)]
 
-    def test_benchmark_grid_shape_and_order(self, fig_params):
-        cells = spread_table(fig_params(), [0.0, -2.0], self.BETAS_HURSTS,
+    def test_benchmark_grid_shape_and_order(self):
+        cells = spread_table(0.05, 0.2, [0.0, -2.0], self.BETAS_HURSTS,
                              [1.0, 2.0, 5.0, 10.0])
         assert len(cells) == 40
         expected_order = [(b, h, t, a)
@@ -193,26 +193,26 @@ class TestSpreadTable:
                           for a in (0.0, -2.0)]
         assert [(c.beta, c.hurst, c.maturity, c.alpha) for c in cells] == expected_order
 
-    def test_matches_published_benchmark_grid(self, fig_params):
-        cells = spread_table(fig_params(), [0.0, -2.0], self.BETAS_HURSTS,
+    def test_matches_published_benchmark_grid(self):
+        cells = spread_table(0.05, 0.2, [0.0, -2.0], self.BETAS_HURSTS,
                              [1.0, 2.0, 5.0, 10.0])
         for cell in cells:
             ref = TABLE1_BPS[(cell.beta, cell.hurst)][(int(cell.maturity), int(cell.alpha))]
             assert abs(cell.spread_bps - ref) <= table1_tolerance(ref), (cell, ref)
 
-    def test_benchmark_grid_bits(self, fig_params):
+    def test_benchmark_grid_bits(self):
         # table1.csv keeps 4 decimals; this file holds every spread's double, as repr
         lines = (DATA / "table1_bits.csv").read_text().splitlines()[1:]
-        cells = spread_table(fig_params(), [0.0, -2.0], self.BETAS_HURSTS,
+        cells = spread_table(0.05, 0.2, [0.0, -2.0], self.BETAS_HURSTS,
                              [1.0, 2.0, 5.0, 10.0])
         assert [f"{c.beta!r},{c.hurst!r},{c.alpha!r},{c.maturity!r},{c.spread_bps!r}"
                 for c in cells] == lines
 
-    def test_empty_maturities(self, fig_params):
-        assert spread_table(fig_params(), [0.0], self.BETAS_HURSTS, []) == []
+    def test_empty_maturities(self):
+        assert spread_table(0.05, 0.2, [0.0], self.BETAS_HURSTS, []) == []
 
     def test_singleton_matches_scalar(self, fig_params):
-        cells = spread_table(fig_params(), [-2.0], [(0.5, 0.9)], [2.0])
+        cells = spread_table(0.05, 0.2, [-2.0], [(0.5, 0.9)], [2.0])
         assert len(cells) == 1
         direct = cds_spread(CdsContract(maturity=2.0, recovery=0.5),
                             fig_params(alpha=-2.0, beta=0.5, hurst=0.9))
@@ -226,23 +226,27 @@ class TestSpreadTable:
         ("payments_per_year", [1.0, 2.0], dict(payments_per_year=0)),
         ("alpha", [1.0, 2.0], dict(alphas=[0.0, 2.5])),
         ("hurst", [1.0, 2.0], dict(betas_hursts=BETAS_HURSTS + [(0.5, None)])),
+        # the model inputs are checked before the contract terms
+        ("r", [1.0, -1.0], dict(r=-0.05)),
+        ("sigma0", [1.0, 2.0], dict(sigma0=0.0, recovery=1.5)),
     ])
-    def test_bad_contract_terms_raise_before_pricing(self, fig_params, monkeypatch,
-                                                     field, maturities, terms):
+    def test_bad_contract_terms_raise_before_pricing(self, monkeypatch, field, maturities,
+                                                     terms):
         priced = []
         monkeypatch.setattr(cds, "_price_batch", lambda *args: priced.append(args))
-        grid = dict(alphas=[0.0, -2.0], betas_hursts=self.BETAS_HURSTS, maturities=maturities)
+        grid = dict(r=0.05, sigma0=0.2, alphas=[0.0, -2.0], betas_hursts=self.BETAS_HURSTS,
+                    maturities=maturities)
         with pytest.raises(ParameterError) as err:
-            spread_table(fig_params(), **{**grid, **terms})
+            spread_table(**{**grid, **terms})
         assert err.value.constraint == field
         assert priced == []
 
-    def test_cell_cap_raises_before_pricing(self, fig_params, monkeypatch):
+    def test_cell_cap_raises_before_pricing(self, monkeypatch):
         priced = []
         monkeypatch.setattr(cds, "_price_batch", lambda *args: priced.append(args))
         monkeypatch.setattr(cds, "MAX_TABLE_CELLS", 39)
         with pytest.raises(ParameterError) as err:
-            spread_table(fig_params(), [0.0, -2.0], self.BETAS_HURSTS, [1.0, 2.0, 5.0, 10.0])
+            spread_table(0.05, 0.2, [0.0, -2.0], self.BETAS_HURSTS, [1.0, 2.0, 5.0, 10.0])
         assert err.value.constraint == "maturities"
         assert priced == []
 
@@ -254,9 +258,8 @@ class TestSpreadTable:
         script = (
             "import json\n"
             "from mfcev.cds import spread_table\n"
-            "from mfcev.core import ModelParams\n"
-            "base = ModelParams(r=0.05, sigma0=0.2, alpha=0, beta=0, hurst=None, s0=50)\n"
-            "cells = spread_table(base, [0, -2], [(0.0, None), (0.5, 0.8)] * 6, [1, 2, 5, 10])\n"
+            "cells = spread_table(0.05, 0.2, [0, -2], [(0.0, None), (0.5, 0.8)] * 6,"
+            " [1, 2, 5, 10])\n"
             "print(json.dumps([[c.alpha, c.beta, c.hurst, c.maturity, c.spread_bps]"
             " for c in cells]))\n")
         root = Path(__file__).resolve().parents[1]
@@ -280,9 +283,9 @@ class TestSpreadTable:
             spread = None if math.isnan(cell.spread_bps) else cell.spread_bps
             return cell.alpha, cell.beta, cell.hurst, cell.maturity, spread, cell.error
 
-        whole = spread_table(fig_params(), alphas, self.BETAS_HURSTS, maturities)
+        whole = spread_table(0.05, 0.2, alphas, self.BETAS_HURSTS, maturities)
         monkeypatch.setattr(cds, "BATCH_CELLS", 7)
-        cells = spread_table(fig_params(), alphas, self.BETAS_HURSTS, maturities)
+        cells = spread_table(0.05, 0.2, alphas, self.BETAS_HURSTS, maturities)
         assert [key(c) for c in cells] == [key(c) for c in whole]
         grid = [(b, h, t, a) for b, h in self.BETAS_HURSTS for t in maturities for a in alphas]
         assert [(c.beta, c.hurst, c.maturity, c.alpha) for c in cells] == grid
@@ -311,11 +314,11 @@ class TestRefinementLoop:
             monkeypatch.setattr(FirstPassageLaw, name, recording)
         return shapes
 
-    def test_benchmark_grid_takes_two_meshes(self, fig_params, monkeypatch):
+    def test_benchmark_grid_takes_two_meshes(self, monkeypatch):
         # every cell converges at the first doubling; Q is read once, at T
         # and the 20 semi-annual dates of the longest contract
         shapes = self.record(monkeypatch)
-        spread_table(fig_params(), [0.0, -2.0], TestSpreadTable.BETAS_HURSTS,
+        spread_table(0.05, 0.2, [0.0, -2.0], TestSpreadTable.BETAS_HURSTS,
                      [1.0, 2.0, 5.0, 10.0])
         nodes = cds.BASE_PANELS * cds.GL_ORDER
         assert shapes == {"q": [(40, 21)], "q_and_g": [(40, nodes), (40, 2 * nodes)]}
@@ -323,7 +326,7 @@ class TestRefinementLoop:
     def test_only_unconverged_rows_are_refined(self, fig_params, monkeypatch):
         # the T = 100 cell needs 16 panels, the T = 5 cell 8
         shapes = self.record(monkeypatch)
-        cells = spread_table(fig_params(), [-2.0], [(1.0, 0.9)], [5.0, 100.0])
+        cells = spread_table(0.05, 0.2, [-2.0], [(1.0, 0.9)], [5.0, 100.0])
         nodes = cds.BASE_PANELS * cds.GL_ORDER
         assert shapes["q_and_g"] == [(2, nodes), (2, 2 * nodes), (1, 4 * nodes)]
         monkeypatch.undo()
@@ -421,7 +424,7 @@ class TestFailureContract:
             cds_spread(CdsContract(maturity=5.0, recovery=0.5), fig_params())
         assert not isinstance(err.value, QuadratureError)
 
-    def test_unconverged_outranks_disagreement_in_one_batch(self, fig_params, monkeypatch):
+    def test_unconverged_outranks_disagreement_in_one_batch(self, monkeypatch):
         # both cells' legs disagree; the one that also misses the panel cap
         # reports the quadrature failure
         exact = FirstPassageLaw.q_and_g
@@ -432,13 +435,13 @@ class TestFailureContract:
 
         monkeypatch.setattr(FirstPassageLaw, "q_and_g", biased)
         monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)
-        cells = spread_table(fig_params(), [-2.0], [(1.0, 0.9)], [5.0, self.HARD_MATURITY])
+        cells = spread_table(0.05, 0.2, [-2.0], [(1.0, 0.9)], [5.0, self.HARD_MATURITY])
         assert cells[0].error.startswith("protection-leg evaluations disagree")
         assert cells[1].error.startswith("quadrature failed")
 
     def test_table_captures_numerical_failure(self, fig_params, monkeypatch):
         monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)
-        cells = spread_table(fig_params(), [-2.0], [(1.0, 0.9)], [5.0, self.HARD_MATURITY])
+        cells = spread_table(0.05, 0.2, [-2.0], [(1.0, 0.9)], [5.0, self.HARD_MATURITY])
         assert [c.maturity for c in cells] == [5.0, self.HARD_MATURITY]
         assert cells[0].error is None
         assert cells[0].spread_bps == cds_spread(CdsContract(maturity=5.0, recovery=0.5),

@@ -193,6 +193,14 @@ class TestCurveCommand:
         assert code == 0
         assert out.encode() == (DATA / "curve.csv").read_bytes()
 
+    def test_labels_tell_close_series_apart(self, capsys):
+        # six significant digits once named both columns q_b0.5_H0.8
+        code, out, _ = run_cli(capsys, "curve", "--alpha=0", "--sigma0=0.2", "--rate=0.05",
+                               "--tmax=1", "--points=3", "--series=0.5:0.8",
+                               "--series=0.5000001:0.8")
+        assert code == 0
+        assert out.splitlines()[0] == "t,q_b0.5_H0.8,q_b0.5000001_H0.8"
+
     def test_fractional_series_requires_hurst(self, capsys):
         code, _, err = run_cli(capsys, "curve", *self.CURVE_FLAGS, "--series", "1")
         assert code == 2 and "hurst" in err.lower()
@@ -509,12 +517,12 @@ def cap_address_space():
 #: per command, every flag it requires, with a value that runs; curve also
 #: needs --beta when it has no --series
 REQUIRED_FLAGS = {
-    "spread": dict(alpha="-2", beta="1", hurst="0.9", sigma0="0.2", rate="0.05",
-                   recovery="0.5", maturity="1"),
+    "spread": dict(alpha="-2", beta="0", sigma0="0.2", rate="0.05", recovery="0.5",
+                   maturity="1"),
     "table1": {},
     "curve": dict(alpha="0", sigma0="0.2", rate="0.05", tmax="1", points="3"),
-    "validate": dict(alpha="0", beta="0", hurst="0.8", sigma0="0.2", rate="0.05",
-                     maturity="1", paths="100", steps="10", seed="1"),
+    "validate": dict(alpha="0", beta="0", sigma0="0.2", rate="0.05", maturity="1",
+                     paths="100", steps="10", seed="1"),
 }
 EXTRA_FLAGS = {"curve": ["--beta=0"]}
 
@@ -628,6 +636,32 @@ def test_each_missing_required_flag_exits_2(capsys, command, flag):
     code, out, err = run_cli(capsys, *required_run(command, leave_out=flag))
     assert code == 2 and out == ""
     assert err == f"error: invalid parameter '{flag}': missing required parameter --{flag}\n"
+
+
+#: a classical run of each command that prices one cell
+CLASSICAL_RUNS = {
+    "spread": ["spread", "--alpha=-2", "--beta=0", "--sigma0=0.2", "--rate=0.05",
+               "--recovery=0.5", "--maturity=5"],
+    "validate": ["validate", "--alpha=0", "--beta=0", "--sigma0=0.2", "--rate=0.05",
+                 "--maturity=2", "--paths=2000", "--steps=50", "--seed=7"],
+}
+
+
+@pytest.mark.parametrize("command", CLASSICAL_RUNS)
+def test_classical_run_needs_no_hurst(capsys, command):
+    # at beta = 0 no output depends on H, so the flag may be left out
+    without = run_cli(capsys, *CLASSICAL_RUNS[command])
+    assert without[0] in (0, 1) and without[1] and without[2] == ""
+    assert run_cli(capsys, *CLASSICAL_RUNS[command], "--hurst=0.8") == without
+
+
+@pytest.mark.parametrize("command", CLASSICAL_RUNS)
+def test_fractional_run_needs_hurst(capsys, command):
+    argv = [arg for arg in CLASSICAL_RUNS[command] if arg != "--beta=0"]
+    code, out, err = run_cli(capsys, *argv, "--beta=0.5")
+    assert code == 2 and out == ""
+    assert err == ("error: invalid parameter 'hurst': hurst may be omitted only at "
+                   "beta = 0, not 0.5\n")
 
 
 def test_curve_needs_beta_without_series(capsys):

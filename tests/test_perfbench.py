@@ -4,17 +4,23 @@ Each case runs ``perfbench/run.py`` for half a second from the repository
 root, as the benchmark itself is run, and reads the JSON summary on the
 last line of its output.  A fast check reads the harness's source instead:
 every package name it imports, and the step kernel it traces, must exist.
-Another loads the oracle file that the harness loads, as it loads it.
+Another loads the oracle file that the harness loads, as it loads it, and
+another resolves the command lines of each workload's first ops as the CLI
+does.
 """
 
 import ast
 import importlib
+import importlib.util
+import itertools
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from mfcev import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,3 +81,19 @@ def test_perfbench_names_resolve():
                    if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS")
     assert ("mfcev._mc_fallback", "step_paths", "mc.step") in targets
     assert callable(resolve("mfcev._mc_fallback", "step_paths"))
+
+
+def test_workload_command_lines_resolve(monkeypatch):
+    # an op whose argv the CLI rejects counts as failed, so a flag's status
+    # changed in cli would take the benchmark's ok_op_ratio to 0 unseen
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        ops = itertools.islice(workload.make_ops(1, ROOT), max(workload.cycle, 3))
+        for argv in [list(workload.first_call), *(op.argv for op in ops)]:
+            args = cli.build_parser(argv[0]).parse_args(argv)
+            assert cli._merge(args, cli._COMMANDS[args.command]), argv

@@ -2,7 +2,8 @@
 
 Every accepted input must either price, or fail with a documented error and
 exit code; Q is checked against a scipy oracle in units with s0 = 1, and
-against an mpmath oracle over every magnitude ModelParams accepts.  A
+against an mpmath oracle over every magnitude ModelParams accepts, and a
+spread against the scipy reference pricer.  A
 classical row (beta = 0) gives the same bits with or without a Hurst exponent,
 a default curve is Q on the uniform grid and each row of a batch of curves
 is that series' curve alone, the Monte-Carlo default times are
@@ -28,7 +29,8 @@ from mfcev.core import (FirstPassageLaw, ModelParams, default_probability, phi_c
 from mfcev.errors import NumericalError
 from mfcev.mc import McConfig, McResult, simulate_fpt, spread_estimate
 
-from reference import default_probability_mpmath, default_probability_reference
+from reference import (default_probability_mpmath, default_probability_reference,
+                       spread_reference_bps)
 
 DOMAIN = dict(
     alpha=st.floats(min_value=-1000.0, max_value=2.0, exclude_max=True),
@@ -86,6 +88,24 @@ def test_q_matches_mpmath_over_the_whole_domain(alpha, hurst, beta, r, t, sigma0
     ref = default_probability_mpmath(t, r, sigma0, alpha, beta, hurst)
     assert q == pytest.approx(ref, rel=1e-11, abs=1e-300)
     assert q_with_g == q
+
+
+# each reference spread takes about 80 ms of scipy quadrature
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(alpha=st.floats(min_value=-5.0, max_value=1.9)
+       | st.floats(min_value=math.log10(5.0), max_value=3.0).map(lambda e: -10.0 ** e),
+       beta=st.floats(min_value=0.0, max_value=3.0), hurst=DOMAIN["hurst"],
+       r=st.floats(min_value=0.0, max_value=0.5), sigma0=DOMAIN["sigma0"],
+       maturity=st.floats(min_value=0.1, max_value=30.0),
+       recovery=st.floats(min_value=0.0, max_value=0.9), freq=st.sampled_from([1, 2, 4, 12]))
+def test_spread_matches_reference_pricer(alpha, beta, hurst, r, sigma0, maturity, recovery,
+                                         freq):
+    # alpha over the curve workload's range, at the tolerance of the fixed reference cells
+    ours = cds.cds_spread(cds.CdsContract(maturity=maturity, recovery=recovery,
+                                          payments_per_year=freq),
+                          ModelParams(r=r, sigma0=sigma0, alpha=alpha, beta=beta, hurst=hurst))
+    ref = spread_reference_bps(maturity, r, sigma0, alpha, beta, hurst, recovery, freq)
+    assert ours == pytest.approx(ref, rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
