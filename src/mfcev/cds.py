@@ -100,15 +100,13 @@ class CdsContract:
 
 @dataclass(frozen=True)
 class SpreadCell:
-    """One entry of a spread table: its inputs as given, and its spread, or
-    NaN and the message of the NumericalError that stopped its pricing."""
+    """One entry of a spread table: its inputs as given, and its spread."""
 
     alpha: float
     beta: float
     hurst: float | None
     maturity: float
     spread_bps: float
-    error: str | None = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,8 +281,8 @@ def spread_table(r: float,
     Each cell has rate r and volatility scale sigma0; hurst may be None only
     where beta = 0.  At most MAX_TABLE_CELLS cells.  The parameter sets, then
     the contracts, are built before any pricing, so a bad input raises
-    ParameterError naming it.  A cell whose pricing fails carries the
-    NumericalError's message, with spread NaN.  Priced BATCH_CELLS per pass.
+    ParameterError naming it.  Priced BATCH_CELLS per pass in grid order; the
+    first cell that fails raises NumericalError, and no later batch is priced.
     """
     sets = [[ModelParams(r=r, sigma0=sigma0, alpha=alpha, beta=beta, hurst=hurst)
              for alpha in alphas] for beta, hurst in betas_hursts]
@@ -300,10 +298,11 @@ def spread_table(r: float,
         batch = grid[start:start + BATCH_CELLS]
         for (p, contract), *priced in zip(batch, *_price_batch(*zip(*batch))):
             try:
-                spread, error = _spread_bps(*priced), None
+                spread = _spread_bps(*priced)
             except NumericalError as exc:
-                spread, error = math.nan, str(exc)
-            cells.append(SpreadCell(p.alpha, p.beta, p.hurst, contract.maturity, spread, error))
+                raise NumericalError(f"table cell (beta={p.beta}, hurst={p.hurst}, alpha="
+                                     f"{p.alpha}, T={contract.maturity}) failed: {exc}") from exc
+            cells.append(SpreadCell(p.alpha, p.beta, p.hurst, contract.maturity, spread))
     return cells
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .cds import CdsContract, cds_spread, default_curve, spread_table
 from .core import ALPHA_MIN, ModelParams, default_probability
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 from . import mc
 
 #: the benchmark grid: beta, hurst (None on the classical rows)
@@ -89,7 +89,7 @@ def _add_flags(sub: argparse.ArgumentParser, names) -> None:
 
 
 def _parse_scenario(path: str, allowed) -> dict:
-    """Read a flat scenario file; reject keys the command does not accept."""
+    """Read a scenario file (``#`` starts a comment anywhere on a line); reject unknown keys."""
     values: dict = {}
     try:
         # utf-8-sig drops the byte-order mark an editor may write first
@@ -162,6 +162,11 @@ def _fmt_prob(value: float, precision: int | None) -> str:
     return f"{value:.{6 if precision is None else precision}g}"
 
 
+def _label(value: float) -> str:
+    """``value``'s shortest round-trip text less a trailing ``.0``: no two inputs share a label."""
+    return repr(value).removesuffix(".0")
+
+
 def _emit(lines: list[str], output: str | None) -> None:
     text = (f"{line}\n" for line in lines)
     if output is None:
@@ -192,11 +197,8 @@ def cmd_table1(merged: dict) -> int:
                          maturities, recovery=merged["recovery"], payments_per_year=merged["freq"])
     lines = ["beta,hurst,alpha,maturity,spread_bps"]
     for cell in cells:
-        if cell.error is not None:
-            raise NumericalError(f"table cell (beta={cell.beta}, hurst={cell.hurst}, "
-                                 f"alpha={cell.alpha}, T={cell.maturity}) failed: {cell.error}")
-        hurst = "-" if cell.hurst is None else f"{cell.hurst:g}"
-        lines.append(f"{cell.beta:g},{hurst},{cell.alpha:g},{cell.maturity:g},"
+        hurst = "-" if cell.hurst is None else _label(cell.hurst)
+        lines.append(f"{_label(cell.beta)},{hurst},{_label(cell.alpha)},{_label(cell.maturity)},"
                      f"{_fmt_bps(cell.spread_bps, merged['precision'])}")
     _emit(lines, merged["output"])
     return 0
@@ -230,9 +232,7 @@ def cmd_curve(merged: dict) -> int:
 
     t, q = default_curve([_model_params(merged, beta=beta, hurst=hurst) for beta, hurst in series],
                          merged["tmax"], merged["points"])
-    # the shortest text that reads back as each value, so that no two series share a name
-    labels = ["q_b" + "_H".join(repr(v).removesuffix(".0") for v in pair if v is not None)
-              for pair in series]
+    labels = ["q_b" + "_H".join(_label(v) for v in pair if v is not None) for pair in series]
     lines = ["t," + ",".join(labels if merged["series"] else ["q"])]
     for t_i, *qs in zip(t, *q):
         lines.append(",".join([f"{t_i:.10g}", *(_fmt_prob(v, merged["precision"]) for v in qs)]))

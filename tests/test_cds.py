@@ -217,7 +217,6 @@ class TestSpreadTable:
         direct = cds_spread(CdsContract(maturity=2.0, recovery=0.5),
                             fig_params(alpha=-2.0, beta=0.5, hurst=0.9))
         assert cells[0].spread_bps == pytest.approx(direct, rel=1e-12)
-        assert cells[0].error is None
 
     # terms: where each case departs from the benchmark grid, model inputs included
     @pytest.mark.parametrize("field,maturities,terms", [
@@ -274,32 +273,48 @@ class TestSpreadTable:
             assert spread == pytest.approx(direct, rel=1e-12)
 
     def test_batches_keep_grid_order(self, fig_params, monkeypatch):
-        # 30 cells priced in batches of 7; capped at 8 panels, every cell at
-        # T = 100 fails to converge, so failures sit within and between batches
-        alphas, maturities = [0.0, -2.0], [1.0, 5.0, 100.0]
-        monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)
-
-        def key(cell):
-            spread = None if math.isnan(cell.spread_bps) else cell.spread_bps
-            return cell.alpha, cell.beta, cell.hurst, cell.maturity, spread, cell.error
-
+        # 30 cells priced in batches of 7, so cells sit within and between batches
+        alphas, maturities = [0.0, -2.0], [1.0, 5.0, 10.0]
         whole = spread_table(0.05, 0.2, alphas, self.BETAS_HURSTS, maturities)
         monkeypatch.setattr(cds, "BATCH_CELLS", 7)
         cells = spread_table(0.05, 0.2, alphas, self.BETAS_HURSTS, maturities)
-        assert [key(c) for c in cells] == [key(c) for c in whole]
+        assert cells == whole
         grid = [(b, h, t, a) for b, h in self.BETAS_HURSTS for t in maturities for a in alphas]
         assert [(c.beta, c.hurst, c.maturity, c.alpha) for c in cells] == grid
         for cell in cells:
             contract = CdsContract(maturity=cell.maturity, recovery=0.5)
             params = fig_params(alpha=cell.alpha, beta=cell.beta, hurst=cell.hurst)
-            if cell.maturity == 100.0:
-                assert math.isnan(cell.spread_bps)
-                with pytest.raises(QuadratureError) as err:
-                    cds_spread(contract, params)
-                assert cell.error == str(err.value)
-                continue
-            assert cell.error is None
             assert cell.spread_bps == cds_spread(contract, params)
+
+    def test_first_failed_cell_raises_and_stops_pricing(self, fig_params, monkeypatch):
+        # 30 cells in batches of 7; capped at 8 panels, every cell at T = 100
+        # fails to converge, so later batches hold failures too
+        alphas, maturities = [0.0, -2.0], [1.0, 5.0, 100.0]
+        monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)
+        monkeypatch.setattr(cds, "BATCH_CELLS", 7)
+        grid = [(b, h, t, a) for b, h in self.BETAS_HURSTS for t in maturities for a in alphas]
+        first = next(i for i, (_, _, t, _) in enumerate(grid) if t == 100.0)
+        beta, hurst, maturity, alpha = grid[first]
+        with pytest.raises(QuadratureError) as direct:
+            cds_spread(CdsContract(maturity=maturity, recovery=0.5),
+                       fig_params(alpha=alpha, beta=beta, hurst=hurst))
+
+        batches = []
+        exact = cds._price_batch
+
+        def spy(params, contracts):
+            batches.append([(p.beta, p.hurst, c.maturity, p.alpha)
+                            for p, c in zip(params, contracts)])
+            return exact(params, contracts)
+
+        monkeypatch.setattr(cds, "_price_batch", spy)
+        with pytest.raises(NumericalError) as err:
+            spread_table(0.05, 0.2, alphas, self.BETAS_HURSTS, maturities)
+        assert str(err.value) == (f"table cell (beta={beta}, hurst={hurst}, alpha={alpha}, "
+                                  f"T={maturity}) failed: {direct.value}")
+        assert isinstance(err.value.__cause__, QuadratureError)
+        # every batch up to the one that holds the failed cell, and none after it
+        assert batches == [grid[start:start + 7] for start in range(0, first + 1, 7)]
 
 
 class TestRefinementLoop:
@@ -424,7 +439,7 @@ class TestFailureContract:
             cds_spread(CdsContract(maturity=5.0, recovery=0.5), fig_params())
         assert not isinstance(err.value, QuadratureError)
 
-    def test_unconverged_outranks_disagreement_in_one_batch(self, monkeypatch):
+    def test_unconverged_outranks_disagreement_in_one_batch(self, fig_params, monkeypatch):
         # both cells' legs disagree; the one that also misses the panel cap
         # reports the quadrature failure
         exact = FirstPassageLaw.q_and_g
@@ -435,17 +450,8 @@ class TestFailureContract:
 
         monkeypatch.setattr(FirstPassageLaw, "q_and_g", biased)
         monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)
-        cells = spread_table(0.05, 0.2, [-2.0], [(1.0, 0.9)], [5.0, self.HARD_MATURITY])
-        assert cells[0].error.startswith("protection-leg evaluations disagree")
-        assert cells[1].error.startswith("quadrature failed")
-
-    def test_table_captures_numerical_failure(self, fig_params, monkeypatch):
-        monkeypatch.setattr(cds, "MAX_PANELS", 2 * cds.BASE_PANELS)
-        cells = spread_table(0.05, 0.2, [-2.0], [(1.0, 0.9)], [5.0, self.HARD_MATURITY])
-        assert [c.maturity for c in cells] == [5.0, self.HARD_MATURITY]
-        assert cells[0].error is None
-        assert cells[0].spread_bps == cds_spread(CdsContract(maturity=5.0, recovery=0.5),
-                                                 fig_params(**self.HARD))
-        assert math.isnan(cells[1].spread_bps)
-        assert "quadrature" in cells[1].error
-
+        _, _, errors = cds._price_batch(
+            [fig_params(**self.HARD)] * 2,
+            [CdsContract(maturity=t, recovery=0.5) for t in (5.0, self.HARD_MATURITY)])
+        assert str(errors[0]).startswith("protection-leg evaluations disagree")
+        assert str(errors[1]).startswith("quadrature failed")

@@ -1,5 +1,7 @@
 import math
+import re
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +141,23 @@ class TestTable1Command:
         code, out, err = run_cli(capsys, "table1", flag)
         assert code == 2 and out == ""
         assert f"'{constraint}'" in err and "numerical failure" not in err
+
+    def test_close_maturities_keep_their_labels(self, capsys):
+        # six significant digits once labelled both contracts' rows 0,-,0,1
+        code, out, _ = run_cli(capsys, "table1", "--maturities=1,1.0000001")
+        assert code == 0
+        labels = [line.rsplit(",", 1)[0] for line in out.splitlines()[1:]]
+        assert labels[:4] == ["0,-,0,1", "0,-,-2,1", "0,-,0,1.0000001", "0,-,-2,1.0000001"]
+        assert len(set(labels)) == len(labels) == 20
+
+    def test_failed_cell_exits_3_with_one_line(self):
+        # a subprocess, so that a numpy warning or a traceback would reach its stderr
+        proc = run_module("table1", "--sigma0=1e100", "--maturities=1")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == ("error: numerical failure: table cell (beta=0.0, hurst=None, "
+                               "alpha=0.0, T=1.0) failed: premium annuity underflowed to zero "
+                               "(certain default before the first payment date); the running "
+                               "spread is undefined\n")
 
     def test_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "table1", "--maturities", "5")
@@ -420,6 +439,13 @@ class TestScenarioFile:
                                "--recovery", "1")
         assert code == 0 and out == "0.0000\n"
 
+    def test_trailing_comment_is_ignored(self, capsys, tmp_path):
+        # '#' starts a comment anywhere on a line, after a value as well
+        scenario = tmp_path / "noted.scn"
+        scenario.write_text("alpha = -2  # elasticity\nbeta = 1 # note\nhurst = 0.9#note\n"
+                            "sigma0 = 0.2\nrate = 0.05\nrecovery = 0.5\nmaturity = 1 # year\n")
+        assert run_cli(capsys, "spread", "--scenario", str(scenario)) == (0, "121.0740\n", "")
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         scenario = tmp_path / "bad.scn"
         scenario.write_text("alfa = 1\n")
@@ -694,6 +720,43 @@ def test_unwritable_output_exits_2(tmp_path, argv, where):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert str(target) in proc.stderr
+
+
+def readme_cli_examples():
+    """Each ``mfcev`` command of README's CLI block as argv, with the output
+    that the comment above it says it prints, or None."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, printed = [], None
+    for line in block.replace("\\\n", " ").splitlines():
+        line = line.strip()
+        if line.startswith("#"):
+            stated = re.search(r"\(prints (\S+)\)", line)
+            printed = stated.group(1) if stated else printed
+        elif line:
+            examples.append((shlex.split(line), printed))
+            printed = None
+    return examples
+
+
+README_EXAMPLES = readme_cli_examples()
+
+
+def test_readme_shows_every_command():
+    assert sorted(argv[1] for argv, _ in README_EXAMPLES) == sorted(cli._COMMANDS)
+    assert all(argv[0] == "mfcev" for argv, _ in README_EXAMPLES)
+    assert [printed for argv, printed in README_EXAMPLES if argv[1] == "spread"] == ["121.0740"]
+
+
+@pytest.mark.parametrize("argv,printed", README_EXAMPLES,
+                         ids=[argv[1] for argv, _ in README_EXAMPLES])
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, argv, printed):
+    # in a temporary directory, since the table1 example writes table1.csv
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv[1:])
+    assert code == 0, err
+    if printed is not None:
+        assert out == f"{printed}\n"
 
 
 def test_module_entry_point():
