@@ -26,9 +26,10 @@ and every (law, times) pair at which it calls ``FirstPassageLaw.q_and_g``:
 
 Monte-Carlo layers, in requested path-steps (paths x steps) per second:
 
-    draw          the normals alone, one stream on one core: one
-                  standard_normal(paths) per step from block 0's generator,
-                  ``mc.block_generator(seed, 0)``
+    draw          the normals alone, one stream on one core, as a block
+                  draws them: per step standard_normal(ceil(paths / 2))
+                  from block 0's generator, ``mc.block_generator(seed, 0)``,
+                  and their antithetic negation into the rest of the paths
     step          the seconds inside the wrapped ``_mc_fallback.step_paths``
                   during a simulation, summed over every block's calls
     simulate_fpt  the whole simulation, unwrapped
@@ -200,8 +201,11 @@ def mc_layers(cfg: McConfig) -> tuple[dict, dict]:
 
     def draw():
         rng = mc.block_generator(cfg.seed, 0)
+        z = np.empty(cfg.n_paths)
+        h = -(-cfg.n_paths // 2)
         for _ in range(cfg.n_steps):
-            rng.standard_normal(cfg.n_paths)
+            rng.standard_normal(out=z[:h])
+            np.negative(z[:cfg.n_paths - h], out=z[h:])
 
     def step():
         with recorded("step") as calls:

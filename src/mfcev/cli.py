@@ -264,8 +264,8 @@ def cmd_validate(merged: dict) -> int:
     # one simulation to the last premium date feeds both estimators
     default_time = mc.simulate_fpt(params, cfg)
     mc_q = mc.default_probability_estimate(default_time)
-    # with no default (or no survivor) the binomial standard error is 0;
-    # the standard error under the null hypothesis, sqrt(Q (1-Q) / n), is not
+    # with no default (or no survivor) the standard error is 0; the binomial
+    # one under the null hypothesis, sqrt(Q (1-Q) / n), is not
     null_std_error = math.sqrt(analytic_q * (1.0 - analytic_q) / mc_q.n_paths)
     std_error = mc_q.std_error if mc_q.std_error > 0.0 else null_std_error
     z = ((mc_q.estimate - analytic_q) / std_error

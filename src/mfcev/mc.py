@@ -16,21 +16,26 @@ power of s0 is formed however negative alpha is.
 
 The B = ceil(n_paths / BLOCK_PATHS) blocks of paths are of equal size:
 block b holds the paths [n b // B, n (b+1) // B) and is driven by its own
-generator, SFC64(SeedSequence(seed, spawn_key=(b,))), one
-standard_normal(block size) per step; the spawn keys give the blocks
-independent streams (L'Ecuyer et al. 2017).  So results depend only on
+generator, SFC64(SeedSequence(seed, spawn_key=(b,))); the spawn keys give
+the blocks independent streams (L'Ecuyer et al. 2017).  A block draws in
+antithetic pairs (Glasserman 2003, sec. 4.2; ``_blocks`` gives the pairs):
+standard_normal(ceil(m/2)) per step for the first half of its m paths, and
+their negation for the rest.  Each path alone is still an exact draw of the
+model's measure.  So results depend only on
 (seed, n_paths, n_steps), and runs with different model parameters but the
-same seed share their noise (coupled comparisons).  Each step draws
-one normal for every path of a block, live or not, and
+same seed share their noise (coupled comparisons).  Each step draws for
+every pair of a block, live or not, and
 ``_mc_fallback.step_paths`` advances every path in its own slot; an
 absorbed path's state is NaN, which no later step reads as a default.  A
 block stops once all its paths have defaulted.  Blocks run side by side on
 up to one thread per usable CPU, and the thread count never changes a bit.
 
 ``simulate_fpt`` returns the default times.  The estimators read them:
-``default_probability_estimate`` gives the binomial default probability
-and ``spread_estimate`` the CDS spread, a ratio of means whose standard
-error is the delta method's over every path, so one simulation serves both.
+``default_probability_estimate`` gives the default probability and
+``spread_estimate`` the CDS spread, a ratio of means whose standard error
+is the delta method's, so one simulation serves both.  Both standard
+errors are taken over the independent units, an antithetic pair or a
+block's unpaired path, since the two paths of a pair are correlated.
 ``mc_default_probability`` and ``mc_cds_spread`` simulate, then estimate.
 """
 
@@ -83,7 +88,9 @@ class McConfig:
 
     The seed is per block: block b of the ceil(n_paths / BLOCK_PATHS) path
     blocks draws from SFC64(SeedSequence(seed, spawn_key=(b,))), so up to
-    BLOCK_PATHS paths the one stream of spawn key 0 drives every path.
+    BLOCK_PATHS paths the one stream of spawn key 0 drives every path.  A
+    block of m paths draws ceil(m/2) normals per step and steps its last
+    floor(m/2) paths on the negated first ones (antithetic pairs).
     n_paths, n_steps and seed are integers (int or numpy integer, not
     bool); n_paths and n_steps are capped at MAX_PATHS and MAX_STEPS, and
     their product at MAX_PATH_STEPS.
@@ -133,6 +140,18 @@ class McResult:
     n_paths: int
 
 
+def _blocks(n: int) -> list[tuple[int, int, int]]:
+    """The path blocks of an n-path simulation and their antithetic pairs,
+    as (lo, hi, h): with B = ceil(n / BLOCK_PATHS), block b holds the paths
+    [lo, hi) = [n b // B, n (b+1) // B) and draws for its first
+    h = ceil((hi - lo) / 2).  Path lo + h + i steps on the negated draw of
+    path lo + i, for i < hi - lo - h; in an odd block, path lo + h - 1 has no
+    partner."""
+    n_blocks = -(-n // BLOCK_PATHS)
+    bounds = [n * b // n_blocks for b in range(n_blocks + 1)]
+    return [(lo, hi, (hi - lo + 1) // 2) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
     """Simulate default times of the transformed state on a uniform grid.
 
@@ -161,43 +180,67 @@ def simulate_fpt(params: ModelParams, cfg: McConfig) -> np.ndarray:
 
     x = np.ones(n)
     default_time = np.full(n, np.nan)
-    n_blocks = -(-n // BLOCK_PATHS)
+    blocks = _blocks(n)
 
     def run_block(b: int) -> None:
-        lo, hi = n * b // n_blocks, n * (b + 1) // n_blocks
+        lo, hi, h = blocks[b]
         rng = block_generator(cfg.seed, b)
         xb, tb = x[lo:hi], default_time[lo:hi]
-        z, work = np.empty(hi - lo), np.empty(hi - lo)
-        n_alive = hi - lo
+        m = hi - lo
+        z, work = np.empty(m), np.empty(m)
+        n_alive = m
         # errstate is per thread, so each block sets its own: an overflow of
         # the state raises in the step kernel instead of carrying an inf on
         with np.errstate(over="raise"):
             for k in range(cfg.n_steps):
-                rng.standard_normal(out=z)
+                # the antithetic pairs of _blocks
+                rng.standard_normal(out=z[:h])
+                np.negative(z[:m - h], out=z[h:])
                 n_alive = _mc_fallback.step_paths(xb, tb, z, adt, float(b_steps[k]),
                                                   float(csd_steps[k]), float(tgrid[k + 1]),
                                                   work, n_alive)
                 if n_alive == 0:
                     break
 
-    if n_blocks == 1:
+    if len(blocks) == 1:
         run_block(0)
         return default_time
-    pool = ThreadPoolExecutor(max_workers=min(n_blocks, _usable_cpus()))
+    pool = ThreadPoolExecutor(max_workers=min(len(blocks), _usable_cpus()))
     try:
-        list(pool.map(run_block, range(n_blocks)))
+        list(pool.map(run_block, range(len(blocks))))
     finally:
         pool.shutdown(cancel_futures=True)
     return default_time
 
 
+def _unit_sum_of_squares(values: np.ndarray, center: float) -> tuple[float, int]:
+    """Sum over the independent units of a simulation of the squared unit
+    sums of values - center, and the number of units.
+
+    ``values`` holds one number per path, in ``simulate_fpt``'s order.  The
+    units are the antithetic pairs and unpaired paths of ``_blocks``: h per
+    block.
+    """
+    total, n_units = 0.0, 0
+    for lo, hi, h in _blocks(values.size):
+        units = values[lo:lo + h] - center
+        units[:hi - lo - h] += values[lo + h:hi] - center
+        total += float(np.sum(units * units))
+        n_units += h
+    return total, n_units
+
+
 def default_probability_estimate(default_time: np.ndarray) -> McResult:
-    """Fraction of paths absorbed by the horizon, with binomial standard error."""
+    """Fraction of paths absorbed by the horizon, with the standard error
+    over independent units, sqrt(sum_u (S_u - p n_u)^2) / n for a unit's
+    default count S_u and size n_u; with every unit one path it is the
+    binomial sqrt(p (1 - p) / n)."""
     n = default_time.size
-    n_def = int(np.count_nonzero(~np.isnan(default_time)))
+    defaulted = ~np.isnan(default_time)
+    n_def = int(np.count_nonzero(defaulted))
     p_hat = n_def / n
-    std_error = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return McResult(p_hat, std_error, n_def, n)
+    sum_of_squares, _ = _unit_sum_of_squares(defaulted, p_hat)
+    return McResult(p_hat, math.sqrt(sum_of_squares) / n, n_def, n)
 
 
 def spread_estimate(default_time: np.ndarray, params: ModelParams, contract) -> McResult:
@@ -207,9 +250,12 @@ def spread_estimate(default_time: np.ndarray, params: ModelParams, contract) -> 
     by maturity and the annuity is the discounted sum of accruals at the
     payment dates strictly before tau, read from the running sum over the
     dates in one lookup.  The estimate is the ratio of means s = P/A; its
-    standard error is the delta method's, the sample standard deviation of
-    the per-path residuals P - s A over sqrt(n) A (Asmussen & Glynn 2007,
-    ch. III), and 0 for one path.  Raises NumericalError when every path
+    standard error is the delta method's over the independent units of
+    ``_unit_sum_of_squares`` (Asmussen & Glynn 2007, ch. III): with E_u the
+    sum of the residuals P - s A over unit u, U units and mean residual e,
+    sqrt(U / (U-1) sum_u (E_u - n_u e)^2) / (n A), and 0 for one unit.  With
+    every unit one path it is the sample standard deviation of the residuals
+    over sqrt(n) A.  Raises NumericalError when every path
     defaults before the first payment date, so that the mean annuity is 0.
     The simulation horizon must reach the last premium date,
     ``contract.payment_times()[-1]``: a path that survives the horizon is
@@ -235,9 +281,11 @@ def spread_estimate(default_time: np.ndarray, params: ModelParams, contract) -> 
         raise NumericalError("every path defaulted before the first payment "
                              "date; the Monte-Carlo spread is undefined")
     estimate = 1e4 * float(np.mean(protection)) / mean_annuity
-    # delta method for a ratio of means, from the per-path residuals P - s A
-    std_error = (float(np.std(1e4 * protection - estimate * annuity, ddof=1))
-                 / (math.sqrt(n) * mean_annuity) if n > 1 else 0.0)
+    # delta method for a ratio of means, from the residuals P - s A summed per unit
+    residual = 1e4 * protection - estimate * annuity
+    sum_of_squares, n_units = _unit_sum_of_squares(residual, float(np.mean(residual)))
+    std_error = (math.sqrt(sum_of_squares * n_units / (n_units - 1)) / (n * mean_annuity)
+                 if n_units > 1 else 0.0)
 
     n_def = int(np.count_nonzero(defaulted))
     return McResult(estimate, std_error, n_def, n)

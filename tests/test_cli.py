@@ -404,14 +404,23 @@ class TestValidateCommand:
                                            None)
         assert fields["analytic_q"] == _fmt_prob(default_probability(1.5, params), None)
 
+    @pytest.mark.parametrize("z,text", [(-4.02501, "-4.03"), (4.02501, "4.03"),
+                                        (-4.001125, "-4.001"), (3.96, "4.0")])
+    def test_fmt_z_prints_on_the_side_of_its_verdict(self, z, text):
+        # one decimal, and more only where it would read the other verdict:
+        # -4.02501 reads -4.0, inside the limit beside a FAIL; 3.96 reads 4.0,
+        # still inside
+        assert _fmt_z(z, 1) == text
+
     def test_z_score_prints_on_the_side_of_its_verdict(self, capsys):
-        # z = -4.02501 reads -4.0 at one decimal, inside the limit beside a FAIL
+        # this seed gives z = -4.001125, which reads -4.0 at one decimal and
+        # -4.00 at two, both inside the limit beside a FAIL
         flags = ["--alpha=0.0", "--beta=1.0", "--hurst=0.9", "--sigma0=0.8", "--rate=0.05",
-                 "--maturity=2.0", "--paths=2000", "--steps=20", "--seed=375", "--precision=1"]
+                 "--maturity=2.0", "--paths=2000", "--steps=20", "--seed=2353", "--precision=1"]
         code, out, _ = run_cli(capsys, "validate", *flags)
         fields = dict(line.split(" ", 1) for line in out.strip().split("\n"))
         assert code == 1 and fields["result"].startswith("FAIL")
-        assert fields["z_score"] == "-4.03"
+        assert fields["z_score"] == "-4.001"
 
     def test_zero_paths_exits_2(self, capsys):
         flags = self.VALIDATE_FLAGS[:-6] + ["--paths", "0", "--steps", "10",

@@ -11,7 +11,8 @@ from mfcev.cds import CdsContract, cds_spread
 from mfcev.core import ModelParams, default_probability
 from mfcev.errors import NumericalError, ParameterError
 from mfcev.mc import (BLOCK_PATHS, MAX_PATH_STEPS, MAX_PATHS, MAX_STEPS, McConfig,
-                      mc_cds_spread, mc_default_probability, simulate_fpt)
+                      default_probability_estimate, mc_cds_spread, mc_default_probability,
+                      simulate_fpt, spread_estimate)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -143,8 +144,10 @@ class TestDrawThread:
     def simulate_and_replay(monkeypatch, params, cfg):
         """The simulated default times, the steps each block took, and the
         default times of a loop that, block by block, draws
-        standard_normal(block size) from SFC64(SeedSequence(seed,
-        spawn_key=(b,))) before each of that block's steps."""
+        standard_normal(ceil(m/2)) for a block of m paths from
+        SFC64(SeedSequence(seed, spawn_key=(b,))) before each of that block's
+        steps, and steps the block's last floor(m/2) paths on the negated
+        first draws."""
         step = _mc_fallback.step_paths
         blocks = {}     # address of a block's states -> its step coefficients
         threads = set()
@@ -175,17 +178,42 @@ class TestDrawThread:
             rng = np.random.Generator(np.random.SFC64(seed_sequence))
             x, work = np.ones(hi - lo), np.empty(hi - lo)
             n_alive = hi - lo
+            half = -(-(hi - lo) // 2)
             for adt, b_step, csd, t_next in coefficients:
-                n_alive = step(x, expected[lo:hi], rng.standard_normal(hi - lo), adt, b_step,
-                               csd, t_next, work, n_alive)
+                drawn = rng.standard_normal(half)
+                z = np.concatenate([drawn, -drawn[:hi - lo - half]])
+                n_alive = step(x, expected[lo:hi], z, adt, b_step, csd, t_next, work, n_alive)
             # a block stops early only once every one of its paths has defaulted
             assert len(coefficients) == cfg.n_steps or n_alive == 0
             steps.append(len(coefficients))
         return times, steps, expected
 
+    @pytest.mark.parametrize("n", [1, 7, 2 * BLOCK_PATHS + 1])
+    def test_pairs_mirror_in_every_block_and_step(self, monkeypatch, fig_params, n):
+        # the kernel overwrites z, so the spy keeps a copy of each step's draws
+        step = _mc_fallback.step_paths
+        draws = {}      # address of a block's states -> that block's draws per step
+
+        def spy(x, default_time, z, *args):
+            draws.setdefault(x.__array_interface__["data"][0], []).append(z.copy())
+            return step(x, default_time, z, *args)
+
+        monkeypatch.setattr(_mc_fallback, "step_paths", spy)
+        cfg = McConfig(n_paths=n, n_steps=20, horizon=1.0, seed=21)
+        simulate_fpt(fig_params(alpha=-2.0, sigma0=0.8), cfg)
+        n_blocks = -(-n // BLOCK_PATHS)
+        assert len(draws) == n_blocks
+        for b, (_, steps) in enumerate(sorted(draws.items())):
+            m = n * (b + 1) // n_blocks - n * b // n_blocks
+            h = -(-m // 2)
+            assert len(steps) == cfg.n_steps
+            for z in steps:
+                assert z.size == m
+                assert np.array_equal(z[h:], -z[:m - h])
+
     def test_early_exit_matches_sequential_draws(self, monkeypatch):
         # every path dies well before the horizon, so the loop stops early;
-        # its default times equal a loop drawing standard_normal(n) per step
+        # its default times equal a loop drawing standard_normal(n/2) per step
         times, steps, expected = self.simulate_and_replay(monkeypatch, self.DOOMED, self.CFG)
         assert 0 < steps[0] < self.CFG.n_steps
         assert np.array_equal(times, expected)
@@ -193,9 +221,9 @@ class TestDrawThread:
     @pytest.mark.parametrize("n", [1, 7, 2000, 19_999, 20_000, BLOCK_PATHS])
     @pytest.mark.parametrize("doomed", [False, True], ids=["some-default", "all-default"])
     def test_draw_tasks_match_one_thread_loop(self, monkeypatch, n, doomed):
-        # up to BLOCK_PATHS paths, one block draws standard_normal(n) per
-        # step from the stream of spawn key 0; doomed paths all default at
-        # once, and the loop stops early
+        # up to BLOCK_PATHS paths, one block draws standard_normal(ceil(n/2))
+        # per step from the stream of spawn key 0; doomed paths all default
+        # at once, and the loop stops early
         cfg = McConfig(n_paths=n, n_steps=25, horizon=1.0, seed=5)
         params = self.DOOMED if doomed else ModelParams(r=0.05, sigma0=0.8, alpha=-2.0,
                                                         beta=0.5, hurst=0.8, s0=50.0)
@@ -325,6 +353,89 @@ class TestStepKernels:
         assert np.array_equal(x[alive], expected[alive])
         assert np.isnan(x[~alive]).all()
         assert np.array_equal(np.isnan(tdef), alive)
+
+
+def legs(default_time, params, contract):
+    """Per path: the default indicator by the horizon, the protection payoff
+    and the annuity, summed date by date."""
+    tau = np.where(np.isnan(default_time), np.inf, default_time)
+    defaulted = tau <= contract.maturity + 1e-12
+    protection = np.where(defaulted, (1.0 - contract.recovery)
+                          * np.exp(-params.r * np.where(defaulted, tau, 0.0)), 0.0)
+    annuity = np.zeros(tau.size)
+    for t_i in contract.payment_times():
+        annuity += np.where(tau > t_i, math.exp(-params.r * t_i) / contract.payments_per_year,
+                            0.0)
+    return np.isfinite(tau).astype(float), protection, annuity
+
+
+def pair_sums(values):
+    """Sums of values over each block's units: the antithetic pairs
+    (lo + i, lo + h + i) of a block of m paths, h = ceil(m/2), then its
+    unpaired path when m is odd; and the number of paths in each unit."""
+    n = values.size
+    n_blocks = -(-n // BLOCK_PATHS)
+    sums, sizes = [], []
+    for b in range(n_blocks):
+        lo, hi = n * b // n_blocks, n * (b + 1) // n_blocks
+        h = -(-(hi - lo) // 2)
+        pairs = values[lo:hi - h] + values[lo + h:hi]
+        sums += [pairs, values[hi - h:lo + h]]
+        sizes += [np.full(pairs.size, 2.0), np.ones(2 * h - (hi - lo))]
+    return np.concatenate(sums), np.concatenate(sizes)
+
+
+class TestPairedErrors:
+    """Both estimators take their standard errors over independent units:
+    an antithetic pair, or a block's unpaired path."""
+
+    CONTRACT = CdsContract(maturity=2.0, recovery=0.5)
+
+    def test_errors_from_explicit_pair_sums(self, fig_params):
+        params = fig_params(**VALIDATE_CONFIGS["frac_alpha-2"])
+        # three blocks of 33,333, 33,334 and 33,334 paths
+        cfg = McConfig(n_paths=2 * BLOCK_PATHS + 1, n_steps=50, horizon=2.0, seed=17)
+        default_time = simulate_fpt(params, cfg)
+        n = cfg.n_paths
+        defaulted, protection, annuity = legs(default_time, params, self.CONTRACT)
+
+        counts, sizes = pair_sums(defaulted)
+        assert sizes.size == 3 * 16_667 and sizes.sum() == n
+        p_hat = defaulted.sum() / n
+        q = default_probability_estimate(default_time)
+        assert q.estimate == p_hat
+        assert q.std_error == pytest.approx(
+            math.sqrt(np.sum((counts - p_hat * sizes) ** 2)) / n, rel=1e-12)
+
+        spread = 1e4 * protection.mean() / annuity.mean()
+        residuals, _ = pair_sums(1e4 * protection - spread * annuity)
+        mean_residual = residuals.sum() / n
+        variance = (np.sum((residuals - mean_residual * sizes) ** 2)
+                    * sizes.size / (sizes.size - 1) / (n * annuity.mean()) ** 2)
+        result = spread_estimate(default_time, params, self.CONTRACT)
+        assert result.estimate == pytest.approx(spread, rel=1e-12)
+        assert result.std_error == pytest.approx(math.sqrt(variance), rel=1e-12)
+
+    @pytest.mark.parametrize("label", ["classical", "distressed"])
+    def test_pair_errors_against_path_errors(self, fig_params, label):
+        # the distressed pairs are negatively correlated, so the pair error
+        # falls below the one that treats every path as independent; the
+        # classical pairs are nearly uncorrelated, so the two agree
+        params = fig_params(**VALIDATE_CONFIGS[label])
+        default_time = simulate_fpt(params, McConfig(n_paths=100_000, n_steps=100,
+                                                     horizon=2.0, seed=1))
+        n = default_time.size
+        _, protection, annuity = legs(default_time, params, self.CONTRACT)
+        q = default_probability_estimate(default_time)
+        binomial = math.sqrt(q.estimate * (1.0 - q.estimate) / n)
+        spread = spread_estimate(default_time, params, self.CONTRACT)
+        path_error = (np.std(1e4 * protection - spread.estimate * annuity, ddof=1)
+                      / (math.sqrt(n) * annuity.mean()))
+        if label == "distressed":
+            assert q.std_error < binomial and spread.std_error < path_error
+        else:
+            assert q.std_error == pytest.approx(binomial, rel=0.01)
+            assert spread.std_error == pytest.approx(path_error, rel=0.01)
 
 
 class TestMcDefaultProbability:

@@ -27,7 +27,7 @@ from mfcev.cli import main
 from mfcev.core import (FirstPassageLaw, ModelParams, default_probability, phi_closed,
                         phi_quadrature)
 from mfcev.errors import NumericalError
-from mfcev.mc import McConfig, McResult, simulate_fpt, spread_estimate
+from mfcev.mc import BLOCK_PATHS, McConfig, McResult, simulate_fpt, spread_estimate
 
 from reference import (default_probability_mpmath, default_probability_reference,
                        spread_reference_bps)
@@ -191,8 +191,9 @@ def test_classical_rows_ignore_hurst(alpha, hurst, r, maturity, sigma0):
 
 def default_times_reference(params, n_paths, n_steps, horizon, seed):
     """Default times of the seed contract, one full-array loop: per step one
-    standard_normal(n_paths) from SFC64(SeedSequence(seed, spawn_key=(0,))),
-    the stream of a run's only block up to BLOCK_PATHS paths, the Euler
+    standard_normal(ceil(n_paths / 2)) from SFC64(SeedSequence(seed,
+    spawn_key=(0,))), the stream of a run's only block up to BLOCK_PATHS
+    paths, followed by the negation of its first floor(n_paths / 2), the Euler
     update ((x + A dt x) + B dt) + ((csd sqrt(x)) z) on the unabsorbed
     paths, and the step's right endpoint as the default time of each path
     it takes to x <= 0."""
@@ -207,7 +208,8 @@ def default_times_reference(params, n_paths, n_steps, horizon, seed):
     x = np.ones(n_paths)
     default_time = np.full(n_paths, np.nan)
     for k in range(n_steps):
-        z = rng.standard_normal(n_paths)
+        drawn = rng.standard_normal(-(-n_paths // 2))
+        z = np.concatenate([drawn, -drawn[:n_paths // 2]])
         alive = np.isnan(default_time)
         live_x = np.where(alive, x, 1.0)
         stepped = ((live_x + adt * live_x) + b[k]) + ((csd[k] * np.sqrt(live_x)) * z)
@@ -283,7 +285,10 @@ def test_curve_rows_are_the_one_row_curves(series, t_max, n_points):
 
 def spread_estimate_reference(default_time, params, contract):
     """The Monte-Carlo spread with one pass over the paths per premium date:
-    each path's annuity adds accrual * e^(-r t_i) for every date t_i < tau."""
+    each path's annuity adds accrual * e^(-r t_i) for every date t_i < tau.
+    Its standard error sums the residuals P - s A, less their mean, over each
+    antithetic pair (lo + i, lo + h + i) of a block of m paths, h = ceil(m/2),
+    and over the block's unpaired path when m is odd."""
     n = default_time.size
     r = params.r
     tau = np.where(np.isnan(default_time), np.inf, default_time)
@@ -299,8 +304,19 @@ def spread_estimate_reference(default_time, params, contract):
         raise NumericalError("every path defaulted before the first payment "
                              "date; the Monte-Carlo spread is undefined")
     estimate = 1e4 * float(np.mean(protection)) / float(np.mean(annuity))
-    std_error = (float(np.std(1e4 * protection - estimate * annuity, ddof=1))
-                 / (math.sqrt(n) * float(np.mean(annuity))) if n > 1 else 0.0)
+    residual = 1e4 * protection - estimate * annuity
+    deviation = residual - float(np.mean(residual))
+    n_blocks = -(-n // BLOCK_PATHS)
+    sum_of_squares, n_units = 0.0, 0
+    for b in range(n_blocks):
+        lo, hi = n * b // n_blocks, n * (b + 1) // n_blocks
+        h = -(-(hi - lo) // 2)
+        units = np.concatenate([deviation[lo:hi - h] + deviation[lo + h:hi],
+                                deviation[hi - h:lo + h]])
+        sum_of_squares += float(np.sum(units * units))
+        n_units += units.size
+    std_error = (math.sqrt(sum_of_squares * n_units / (n_units - 1))
+                 / (n * float(np.mean(annuity))) if n_units > 1 else 0.0)
     return McResult(estimate, std_error, int(np.count_nonzero(defaulted)), n)
 
 
